@@ -6,8 +6,7 @@ from repro.graphs.adjacency import (
     add_self_loops,
     row_stochastic_normalize,
     symmetric_normalize,
-    remove_edge,
-    add_edge,
+    apply_edge_delta,
 )
 from repro.graphs.homophily import homophily_ratio
 from repro.graphs.generators import generate_citation_graph, CitationGraphSpec
@@ -45,8 +44,7 @@ __all__ = [
     "add_self_loops",
     "row_stochastic_normalize",
     "symmetric_normalize",
-    "remove_edge",
-    "add_edge",
+    "apply_edge_delta",
     "homophily_ratio",
     "generate_citation_graph",
     "CitationGraphSpec",

@@ -3,8 +3,8 @@
 The paper's propagation uses the row-stochastic normalisation
 ``Ã = D^{-1}(A + I)`` (Section IV-C2 with r = 0); the non-private GCN
 baseline uses the symmetric normalisation ``D^{-1/2}(A + I)D^{-1/2}`` of Kipf
-& Welling.  Both are provided here, along with edge add/remove helpers used
-to construct edge-level neighbouring graphs for sensitivity experiments.
+& Welling.  Both are provided here, along with the batched edge edit behind
+edge-level neighbouring graphs and live serving-graph updates.
 """
 
 from __future__ import annotations
@@ -93,27 +93,51 @@ def general_normalize(adjacency: sp.spmatrix, r: float, add_loops: bool = True) 
     return sp.diags(left).dot(matrix).dot(sp.diags(right)).tocsr()
 
 
-def remove_edge(adjacency: sp.spmatrix, u: int, v: int) -> sp.csr_matrix:
-    """Return a copy of ``adjacency`` with the undirected edge (u, v) removed."""
-    if u == v:
-        raise GraphDataError("cannot remove a self-loop: u == v")
-    matrix = sp.lil_matrix(adjacency, dtype=np.float64)
-    if matrix[u, v] == 0:
-        raise GraphDataError(f"edge ({u}, {v}) is not present")
-    matrix[u, v] = 0.0
-    matrix[v, u] = 0.0
-    out = matrix.tocsr()
+def apply_edge_delta(adjacency: sp.spmatrix, inserts=(), deletes=()) -> sp.csr_matrix:
+    """Return a copy of ``adjacency`` with a batch of undirected edges
+    inserted and deleted.
+
+    All-or-nothing: every node must lie in ``[0, n)``, no pair may be a
+    self-loop or appear twice, every insert must be absent and every delete
+    present, else :class:`GraphDataError` is raised and nothing is built.
+    The range check runs on the Python ints, so a node id too large for
+    int64 is a clean error rather than an overflow.  Each pair is looked up
+    once, then the whole batch lands as one sparse add; the result is the
+    canonical CSR (sorted indices, float64 data, no stored zeros).
+    """
+    matrix = sp.csr_matrix(adjacency, dtype=np.float64)
+    n = matrix.shape[0]
+    pairs = [(int(u), int(v)) for u, v in inserts]
+    num_inserts = len(pairs)
+    pairs += [(int(u), int(v)) for u, v in deletes]
+    seen = set()
+    for u, v in pairs:
+        if u == v:
+            raise GraphDataError(f"edge ({u}, {v}) is a self-loop")
+        if not (0 <= u < n and 0 <= v < n):
+            raise GraphDataError(f"edge ({u}, {v}) has a node outside [0, {n})")
+        edge = (min(u, v), max(u, v))
+        if edge in seen:
+            raise GraphDataError(f"edge {edge} appears twice in one batch")
+        seen.add(edge)
+    if not pairs:
+        return matrix.copy()
+    ends = np.asarray(pairs, dtype=np.int64)
+    values = np.asarray(matrix[ends[:, 0], ends[:, 1]]).ravel()
+    inserting = np.arange(len(pairs)) < num_inserts
+    wrong = np.flatnonzero(inserting == (values != 0))
+    if wrong.size:
+        u, v = pairs[wrong[0]]
+        state = "already present" if inserting[wrong[0]] else "not present"
+        raise GraphDataError(f"edge ({u}, {v}) is {state}")
+    # A delete adds its entry's negated value, which cancels to an exact zero.
+    change = np.where(inserting, 1.0, -values)
+    delta = sp.csr_matrix(
+        (np.concatenate([change, change]),
+         (np.concatenate([ends[:, 0], ends[:, 1]]),
+          np.concatenate([ends[:, 1], ends[:, 0]]))),
+        shape=matrix.shape)
+    out = matrix + delta
     out.eliminate_zeros()
+    out.sort_indices()  # a no-op unless the input rows were unsorted
     return out
-
-
-def add_edge(adjacency: sp.spmatrix, u: int, v: int) -> sp.csr_matrix:
-    """Return a copy of ``adjacency`` with the undirected edge (u, v) added."""
-    if u == v:
-        raise GraphDataError("cannot add a self-loop: u == v")
-    matrix = sp.lil_matrix(adjacency, dtype=np.float64)
-    if matrix[u, v] != 0:
-        raise GraphDataError(f"edge ({u}, {v}) is already present")
-    matrix[u, v] = 1.0
-    matrix[v, u] = 1.0
-    return matrix.tocsr()

@@ -16,6 +16,7 @@ import numpy as np
 import scipy.sparse as sp
 
 from repro.exceptions import GraphDataError
+from repro.graphs.adjacency import apply_edge_delta
 from repro.utils.math import one_hot
 
 
@@ -116,15 +117,11 @@ class GraphDataset:
 
     def without_edge(self, u: int, v: int) -> "GraphDataset":
         """Return the edge-level neighbouring dataset with edge (u, v) removed."""
-        from repro.graphs.adjacency import remove_edge
-
-        return replace(self, adjacency=remove_edge(self.adjacency, u, v), name=self.name)
+        return replace(self, adjacency=apply_edge_delta(self.adjacency, deletes=[(u, v)]))
 
     def with_edge(self, u: int, v: int) -> "GraphDataset":
         """Return the edge-level neighbouring dataset with edge (u, v) added."""
-        from repro.graphs.adjacency import add_edge
-
-        return replace(self, adjacency=add_edge(self.adjacency, u, v), name=self.name)
+        return replace(self, adjacency=apply_edge_delta(self.adjacency, inserts=[(u, v)]))
 
     # ------------------------------------------------------------------ #
     # convenience

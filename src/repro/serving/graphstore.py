@@ -10,13 +10,14 @@ the feature caches above it can stay honest:
   digest.  Two stores that applied the same deltas to the same graph agree
   on digests — the fleet's epoch-agreement check compares exactly these.
 * **Mutation is an append-only delta log.**  A delta is a batch of edge
-  inserts and deletes, validated through the same
+  inserts and deletes, applied by
+  :func:`~repro.graphs.adjacency.apply_edge_delta`, the same edit behind
+  the DP neighbouring-pair machinery's
   :meth:`~repro.graphs.graph.GraphDataset.with_edge` /
-  :meth:`~repro.graphs.graph.GraphDataset.without_edge` invariants the
-  DP neighbouring-pair machinery uses (no duplicate inserts, no phantom
-  deletes, no self-loops); validation is all-or-nothing, so a bad batch
-  leaves the current epoch untouched.
-* **Epoch advance is atomic.**  The new graph is built off to the side and
+  :meth:`~repro.graphs.graph.GraphDataset.without_edge` (nodes in range,
+  no duplicate inserts, no phantom deletes, no self-loops); validation is
+  all-or-nothing, so a bad batch leaves the current epoch untouched.
+* **Epoch advance is atomic.**  The new graph is built as a fresh copy and
   committed under the store lock in one assignment; readers either see the
   old epoch in full or the new epoch in full, never a half-applied batch.
   In-flight requests that pinned the old epoch keep scoring against it —
@@ -34,11 +35,13 @@ from __future__ import annotations
 import threading
 import time
 from collections import OrderedDict
+from dataclasses import replace
 
 import numpy as np
 
 from repro.core.propagation import graph_fingerprint
 from repro.exceptions import ConfigurationError, GraphDataError
+from repro.graphs.adjacency import apply_edge_delta
 from repro.graphs.graph import GraphDataset
 from repro.graphs.perturbations import sample_absent_edge, sample_present_edge
 from repro.utils.random import as_rng
@@ -107,10 +110,11 @@ class GraphStore:
     """The serving graph as a sequence of epochs plus their delta log.
 
     Thread-safe; every public method takes the store lock.  ``apply`` does
-    its (validating, copy-on-write) graph construction *inside* the lock —
-    updates are admission-controlled to one in flight by the HTTP layer, so
-    holding the lock for the batch keeps the epoch sequence linear without
-    costing the read path anything measurable.
+    its (validating, copy-on-write) graph construction *inside* the lock,
+    so every read waits for it: one batched sparse edit, the dataset checks
+    and the digest.  Updates are admission-controlled to one in flight by
+    the HTTP layer, so holding the lock for the batch keeps the epoch
+    sequence linear.
     """
 
     def __init__(self, graph: GraphDataset, *, key: str = "default",
@@ -245,11 +249,12 @@ class GraphStore:
     def apply(self, delta: EdgeDelta) -> dict:
         """Validate and commit one delta; returns the new log entry.
 
-        All-or-nothing: the batch is applied edge by edge to a copy-on-write
-        working graph (``with_edge`` raises on a duplicate insert,
-        ``without_edge`` on a phantom delete), and only a fully valid batch
-        advances the epoch.  The commit itself is a couple of dict inserts
-        plus one integer assignment — atomic under the lock.
+        All-or-nothing: :func:`~repro.graphs.adjacency.apply_edge_delta`
+        checks the whole batch (nodes in range, inserts absent, deletes
+        present) before it builds the new adjacency in one sparse add, and
+        only a fully valid batch advances the epoch.  The commit itself is
+        a couple of dict inserts plus one integer assignment — atomic under
+        the lock.
         """
         if not isinstance(delta, EdgeDelta):
             raise ConfigurationError(
@@ -257,11 +262,9 @@ class GraphStore:
         if delta.size == 0:
             raise GraphDataError("an edge delta must contain at least one edge")
         with self._lock:
-            work = self._graphs[self._epoch]
-            for u, v in delta.inserts:
-                work = work.with_edge(u, v)
-            for u, v in delta.deletes:
-                work = work.without_edge(u, v)
+            base = self._graphs[self._epoch]
+            work = replace(base, adjacency=apply_edge_delta(
+                base.adjacency, delta.inserts, delta.deletes))
             new_epoch = self._epoch + 1
             entry = {
                 "epoch": new_epoch,

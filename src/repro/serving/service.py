@@ -19,10 +19,11 @@ The serving graph is **versioned**: each graph lives in a
 sessions are keyed by ``(model digest, graph epoch, mode)``.  A request pins
 the epoch current at submit time — a concurrent ``apply_graph_update`` never
 mixes old and new features into one answer — and sessions for a new epoch
-are rebuilt *incrementally* via
-:func:`~repro.core.propagation.incremental_inference_features`: only rows
-inside the propagation radius of the touched edges are recomputed, every
-other row is reused bitwise from the previous epoch.
+are rebuilt from the previous epoch's session via
+:func:`~repro.core.propagation.incremental_inference_features`: a private
+session recomputes only the delta endpoints' rows and reuses every other
+row bitwise, while a public session recomputes every row, because APPR
+spreads a delta over most of a real graph.
 
 The HTTP frontend lives in :mod:`repro.serving.httpd` (a single-threaded
 ``selectors`` loop; ``serve_http`` is re-exported from :mod:`repro.serving`):
@@ -384,9 +385,10 @@ class InferenceService:
 
     def _build_incremental(self, base: _ModelSession, store: GraphStore,
                            epoch: int, mode: str) -> _ModelSession | None:
-        """Advance ``base`` to ``epoch`` by re-propagating only the rows the
-        intervening edge deltas can reach; ``None`` falls back to a full
-        build (e.g. the base epoch's graph left the history window)."""
+        """Advance ``base`` to ``epoch`` off its features and encoder output
+        (private: only the intervening deltas' endpoint rows recomputed);
+        ``None`` falls back to a full build (e.g. the base epoch's graph
+        left the history window)."""
         try:
             graph = store.graph_at(epoch)
             endpoints = store.endpoints_between(base.epoch, epoch)
@@ -469,8 +471,9 @@ class InferenceService:
 
         Two stages, both timed for the request trace: **apply** validates
         the batch and atomically advances the store's epoch; **repropagate**
-        rebuilds every cached session that served the previous epoch,
-        incrementally (touched rows recomputed, the rest reused bitwise).
+        rebuilds every cached session that served the previous epoch off
+        that session (private: endpoint rows recomputed, the rest reused
+        bitwise; public: every row recomputed).
         Requests already in flight keep their pinned epoch — the previous
         epoch's sessions and graph stay available until evicted.
         """

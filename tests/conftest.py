@@ -7,6 +7,7 @@ import pytest
 import scipy.sparse as sp
 
 from repro.graphs.adjacency import build_adjacency
+from repro.graphs.datasets import load_dataset
 from repro.graphs.generators import CitationGraphSpec, generate_citation_graph
 from repro.graphs.graph import GraphDataset
 
@@ -33,6 +34,13 @@ def tiny_spec() -> CitationGraphSpec:
 def tiny_graph(tiny_spec) -> GraphDataset:
     """A deterministic small homophilous graph with splits."""
     return generate_citation_graph(tiny_spec, seed=7)
+
+
+@pytest.fixture(scope="session")
+def edit_graphs(tiny_graph) -> dict[str, GraphDataset]:
+    """The graphs the edge-edit property tests run on: ``tiny`` and the
+    748-node ``cora_ml`` preset."""
+    return {"tiny": tiny_graph, "cora_ml": load_dataset("cora_ml", scale=0.25, seed=0)}
 
 
 @pytest.fixture(scope="session")

@@ -19,8 +19,8 @@ from hypothesis import strategies as st
 
 from repro.core.inference import inference_features
 from repro.core.propagation import (
+    PropagationCache,
     Propagator,
-    bfs_neighborhood,
     incremental_inference_features,
 )
 from repro.exceptions import ConfigurationError
@@ -59,33 +59,6 @@ def _delta(graph, kind: str, seed: int):
         perturbed = perturbed.without_edge(u, v)
         endpoints.update((u, v))
     return perturbed, sorted(endpoints)
-
-
-class TestBfsNeighborhood:
-    def test_radius_zero_is_the_seed_set(self, tiny_graph):
-        propagator = Propagator(tiny_graph.adjacency, ALPHA)
-        rows = bfs_neighborhood(propagator.transition, [5, 2, 5], 0)
-        assert rows.tolist() == [2, 5]
-
-    def test_each_hop_is_monotone(self, tiny_graph):
-        propagator = Propagator(tiny_graph.adjacency, ALPHA)
-        previous = bfs_neighborhood(propagator.transition, [0], 0)
-        for radius in (1, 2, 3):
-            current = bfs_neighborhood(propagator.transition, [0], radius)
-            assert set(previous) <= set(current)
-            previous = current
-
-    def test_large_radius_reaches_the_component(self, path_graph):
-        rows = bfs_neighborhood(path_graph.adjacency.tocsr(), [0], 10)
-        assert rows.tolist() == list(range(6))
-
-    def test_empty_seeds_reach_nothing(self, tiny_graph):
-        rows = bfs_neighborhood(tiny_graph.adjacency, [], 3)
-        assert rows.size == 0
-
-    def test_out_of_range_seed_rejected(self, tiny_graph):
-        with pytest.raises(ConfigurationError):
-            bfs_neighborhood(tiny_graph.adjacency, [tiny_graph.num_nodes], 1)
 
 
 class TestBitwiseEquivalence:
@@ -131,18 +104,6 @@ class TestBitwiseEquivalence:
             [0, 2, 4], mode="private", inference_alpha=INFERENCE_ALPHA)
         assert touched.tolist() == endpoints
 
-    def test_public_touch_radius_is_steps_minus_one(self, tiny_graph):
-        encoded = _encoded(tiny_graph)
-        steps = 3
-        old = inference_features(Propagator(tiny_graph.adjacency, ALPHA),
-                                 encoded, [steps], mode="public")
-        new_graph, endpoints = _delta(tiny_graph, "insert", seed=4)
-        propagator = Propagator(new_graph.adjacency, ALPHA)
-        _features, touched = incremental_inference_features(
-            propagator, encoded, old, endpoints, [steps], mode="public")
-        halo = bfs_neighborhood(propagator.transition, endpoints, steps - 1)
-        assert touched.tolist() == halo.tolist()
-
     def test_identity_block_is_never_touched(self, tiny_graph):
         encoded = _encoded(tiny_graph)
         old = inference_features(Propagator(tiny_graph.adjacency, ALPHA),
@@ -164,17 +125,38 @@ class TestBitwiseEquivalence:
         assert features is not old
         assert np.array_equal(features, old)
 
-    def test_infinite_steps_recompute_every_row(self, tiny_graph):
+    @pytest.mark.parametrize("steps_list", [[3], [math.inf]],
+                             ids=["m3", "inf"])
+    def test_infinite_steps_recompute_every_row(self, tiny_graph, steps_list):
+        """Public blocks recompute every row, finite m and the PPR limit
+        alike."""
         encoded = _encoded(tiny_graph)
         old = inference_features(Propagator(tiny_graph.adjacency, ALPHA),
-                                 encoded, [math.inf], mode="public")
+                                 encoded, steps_list, mode="public")
         new_graph, endpoints = _delta(tiny_graph, "insert", seed=6)
         propagator = Propagator(new_graph.adjacency, ALPHA)
         features, touched = incremental_inference_features(
-            propagator, encoded, old, endpoints, [math.inf], mode="public")
+            propagator, encoded, old, endpoints, steps_list, mode="public")
         assert touched.size == tiny_graph.num_nodes
-        full = inference_features(propagator, encoded, [math.inf],
+        full = inference_features(propagator, encoded, steps_list,
                                   mode="public")
+        assert np.array_equal(features, full)
+
+    def test_public_blocks_bypass_the_features_cache(self, tiny_graph):
+        """A rebuild's public blocks are never read again, so parking them
+        in the propagation cache's features layer would only hold memory."""
+        encoded = _encoded(tiny_graph)
+        steps_list = [2, math.inf]
+        old = inference_features(Propagator(tiny_graph.adjacency, ALPHA),
+                                 encoded, steps_list, mode="public")
+        new_graph, endpoints = _delta(tiny_graph, "mixed", seed=8)
+        cache = PropagationCache()
+        features, _touched = incremental_inference_features(
+            cache.propagator(new_graph.adjacency, ALPHA), encoded, old,
+            endpoints, steps_list, mode="public")
+        assert cache.info()["features"]["entries"] == 0
+        full = inference_features(Propagator(new_graph.adjacency, ALPHA),
+                                  encoded, steps_list, mode="public")
         assert np.array_equal(features, full)
 
 

@@ -275,6 +275,8 @@ class TestHttpSurface:
         ({"sample_insert": -2}, "non-negative"),
         ({"sample_insert": 1, "graph": "nope"}, "unknown graph"),
         ({"insert": [[4, 4]]}, "self-loop"),
+        ({"insert": [[0, 1000000]]}, "outside"),
+        ({"insert": [[0, 2 ** 70]]}, "outside"),
     ])
     def test_bad_updates_are_400(self, server, payload, fragment):
         status, body = _http(server, "/v1/graph/update", payload)

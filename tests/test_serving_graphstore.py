@@ -5,6 +5,8 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from repro.core.propagation import graph_fingerprint
 from repro.exceptions import ConfigurationError, GraphDataError
@@ -109,6 +111,26 @@ class TestApply:
         first.apply(delta)
         second.apply(EdgeDelta(delta.inserts, delta.deletes))
         assert first.digest == second.digest
+
+    @pytest.mark.parametrize("name", ["tiny", "cora_ml"])
+    @given(seed=st.integers(0, 10_000), inserts=st.integers(0, 4),
+           deletes=st.integers(0, 4))
+    @settings(max_examples=15, deadline=None)
+    def test_batch_digest_matches_an_edge_by_edge_replay(
+            self, edit_graphs, name, seed, inserts, deletes):
+        """What the perfbench replay gate and fleet epoch agreement compare:
+        one batched apply hashes like the same edges applied one by one."""
+        assume(inserts + deletes > 0)
+        graph = edit_graphs[name]
+        store = GraphStore(graph)
+        delta = store.sample_delta(inserts, deletes, seed=seed)
+        entry = store.apply(delta)
+        replayed = graph
+        for u, v in delta.inserts:
+            replayed = replayed.with_edge(u, v)
+        for u, v in delta.deletes:
+            replayed = replayed.without_edge(u, v)
+        assert entry["digest"] == graph_fingerprint(replayed.adjacency)
 
 
 class TestHistory:
