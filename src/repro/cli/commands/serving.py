@@ -83,8 +83,8 @@ def command_publish(args) -> int:
                                   "scale": spec.scale,
                                   "graph_seed": spec.seed,
                                   # Epoch-0 digest of the training graph:
-                                  # /v1/graph/status reports the serving
-                                  # digest, so drift is detectable.
+                                  # serving refuses a regenerated graph
+                                  # with another digest.
                                   "graph_digest": graph_fingerprint(
                                       graph.adjacency),
                                   "cell_seed": cell_seed,

@@ -19,6 +19,19 @@ The behaviour the paper measures (utility orderings of DP mechanisms across
 privacy budgets, sensitivity trade-offs in α and m) depends on these graph
 properties rather than on the identity of the concrete citation network, so
 the substitution preserves the relevant phenomena (see DESIGN.md §2).
+
+Every draw consumes the generator's stream exactly as ``Generator.choice``
+would, so a seed names one graph, byte for byte, and the graph digests
+recorded in published manifests stay valid.  ``choice(..., p=p)`` re-checks
+``p`` and rebuilds its CDF on every call, which made each edge draw cost
+O(n) and dominated generating the larger presets.  The edge sampler builds
+each CDF once per graph, the way ``choice`` builds it (``cumsum``, then
+divide by the last entry), and draws a node as
+``cdf.searchsorted(rng.random(), side="right")``.  The two-distinct-members
+draw replays ``choice``'s ``replace=False`` loop: two uniforms, and on a
+collision one more against a CDF rebuilt with the first pick zeroed.
+Uniforms are never drawn ahead in blocks: how many an attempt uses depends
+on its branch.  ``choice`` without ``p`` is ``integers(0, k, size=...)``.
 """
 
 from __future__ import annotations
@@ -135,21 +148,44 @@ def _sample_labels(spec: CitationGraphSpec, rng: np.random.Generator) -> np.ndar
     return labels.astype(np.int64)
 
 
+def _cdf(p: np.ndarray) -> np.ndarray:
+    """The CDF ``Generator.choice`` builds from the probabilities ``p``."""
+    cdf = np.cumsum(p)
+    cdf /= cdf[-1]
+    return cdf
+
+
+def _draw(cdf: np.ndarray, rng: np.random.Generator) -> int:
+    """One index, as ``rng.choice(len(cdf), p=p)`` draws it."""
+    return int(cdf.searchsorted(rng.random(), side="right"))
+
+
+def _draw_pair(p: np.ndarray, cdf: np.ndarray,
+               rng: np.random.Generator) -> tuple[int, int]:
+    """Two distinct indices in draw order, as
+    ``rng.choice(len(p), size=2, replace=False, p=p)`` draws them."""
+    i, j = cdf.searchsorted(rng.random(2), side="right")
+    if i != j:
+        return int(i), int(j)
+    rest = p.copy()
+    rest[i] = 0.0
+    return int(i), _draw(_cdf(rest), rng)
+
+
 def _sample_edges(spec: CitationGraphSpec, labels: np.ndarray,
                   rng: np.random.Generator) -> np.ndarray:
     """Sample undirected edges with target homophily and power-law degrees."""
-    n = spec.num_nodes
-    propensity = rng.pareto(1.0 / max(spec.degree_exponent, 1e-6), size=n) + 1.0
-    by_class: dict[int, np.ndarray] = {}
-    class_probs: dict[int, np.ndarray] = {}
+    propensity = rng.pareto(1.0 / max(spec.degree_exponent, 1e-6), size=spec.num_nodes) + 1.0
+    by_class: dict[int, tuple[np.ndarray, np.ndarray, np.ndarray]] = {}
     for cls in range(spec.num_classes):
         members = np.flatnonzero(labels == cls)
-        by_class[cls] = members
-        weights = propensity[members]
-        class_probs[cls] = weights / weights.sum() if members.size else weights
-    all_probs = propensity / propensity.sum()
-    class_sizes = np.array([by_class[c].size for c in range(spec.num_classes)], dtype=np.float64)
-    class_weights = class_sizes / class_sizes.sum()
+        if members.size >= 2:
+            weights = propensity[members]
+            probs = weights / weights.sum()
+            by_class[cls] = (members, probs, _cdf(probs))
+    all_cdf = _cdf(propensity / propensity.sum())
+    class_sizes = np.bincount(labels, minlength=spec.num_classes).astype(np.float64)
+    class_cdf = _cdf(class_sizes / class_sizes.sum())
 
     seen: set[tuple[int, int]] = set()
     edges: list[tuple[int, int]] = []
@@ -158,19 +194,17 @@ def _sample_edges(spec: CitationGraphSpec, labels: np.ndarray,
     while len(edges) < spec.num_edges and attempts < max_attempts:
         attempts += 1
         if rng.random() < spec.homophily:
-            cls = int(rng.choice(spec.num_classes, p=class_weights))
-            members = by_class[cls]
-            if members.size < 2:
+            cls = _draw(class_cdf, rng)
+            if cls not in by_class:
                 continue
-            u, v = rng.choice(members, size=2, replace=False, p=class_probs[cls])
+            members, probs, cdf = by_class[cls]
+            i, j = _draw_pair(probs, cdf, rng)
+            u, v = int(members[i]), int(members[j])
         else:
-            u = int(rng.choice(n, p=all_probs))
-            v = int(rng.choice(n, p=all_probs))
+            u = _draw(all_cdf, rng)
+            v = _draw(all_cdf, rng)
             if labels[u] == labels[v] or u == v:
                 continue
-        u, v = int(u), int(v)
-        if u == v:
-            continue
         key = (min(u, v), max(u, v))
         if key in seen:
             continue
@@ -196,15 +230,11 @@ def _sample_features(spec: CitationGraphSpec, labels: np.ndarray,
     for node in range(spec.num_nodes):
         topic = class_topics[labels[node]]
         count = max(1, rng.poisson(active))
-        from_topic = rng.random(count) < spec.feature_signal
-        n_topic = int(from_topic.sum())
-        dims: list[int] = []
+        n_topic = int((rng.random(count) < spec.feature_signal).sum())
         if n_topic:
-            dims.extend(rng.choice(topic, size=n_topic, replace=True).tolist())
-        n_bg = count - n_topic
-        if n_bg:
-            dims.extend(rng.choice(d0, size=n_bg, replace=True).tolist())
-        features[node, np.unique(dims)] = 1.0
+            features[node, topic[rng.integers(0, topic.size, size=n_topic)]] = 1.0
+        if count > n_topic:
+            features[node, rng.integers(0, d0, size=count - n_topic)] = 1.0
     return features
 
 

@@ -98,13 +98,18 @@ class Tensor:
     # ------------------------------------------------------------------ #
     # arithmetic
     # ------------------------------------------------------------------ #
+    # A binary backward computes an operand's gradient only if that operand
+    # requires one: for a constant (an input batch, a dropout mask) the
+    # product would be discarded by _accumulate.
     def __add__(self, other) -> "Tensor":
         other = self._ensure(other)
         data = self.data + other.data
 
         def backward(grad: np.ndarray) -> None:
-            self._accumulate(_unbroadcast(grad, self.data.shape))
-            other._accumulate(_unbroadcast(grad, other.data.shape))
+            if self.requires_grad:
+                self._accumulate(_unbroadcast(grad, self.data.shape))
+            if other.requires_grad:
+                other._accumulate(_unbroadcast(grad, other.data.shape))
 
         return self._make(data, (self, other), backward)
 
@@ -129,8 +134,10 @@ class Tensor:
         data = self.data * other.data
 
         def backward(grad: np.ndarray) -> None:
-            self._accumulate(_unbroadcast(grad * other.data, self.data.shape))
-            other._accumulate(_unbroadcast(grad * self.data, other.data.shape))
+            if self.requires_grad:
+                self._accumulate(_unbroadcast(grad * other.data, self.data.shape))
+            if other.requires_grad:
+                other._accumulate(_unbroadcast(grad * self.data, other.data.shape))
 
         return self._make(data, (self, other), backward)
 
@@ -141,10 +148,12 @@ class Tensor:
         data = self.data / other.data
 
         def backward(grad: np.ndarray) -> None:
-            self._accumulate(_unbroadcast(grad / other.data, self.data.shape))
-            other._accumulate(
-                _unbroadcast(-grad * self.data / (other.data ** 2), other.data.shape)
-            )
+            if self.requires_grad:
+                self._accumulate(_unbroadcast(grad / other.data, self.data.shape))
+            if other.requires_grad:
+                other._accumulate(
+                    _unbroadcast(-grad * self.data / (other.data ** 2), other.data.shape)
+                )
 
         return self._make(data, (self, other), backward)
 
@@ -166,8 +175,10 @@ class Tensor:
         data = self.data @ other.data
 
         def backward(grad: np.ndarray) -> None:
-            self._accumulate(grad @ other.data.T)
-            other._accumulate(self.data.T @ grad)
+            if self.requires_grad:
+                self._accumulate(grad @ other.data.T)
+            if other.requires_grad:
+                other._accumulate(self.data.T @ grad)
 
         return self._make(data, (self, other), backward)
 

@@ -23,7 +23,6 @@ from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
-from scipy import stats
 
 from repro.exceptions import ConfigurationError, PrivacyBudgetError
 from repro.utils.random import as_rng
@@ -38,6 +37,8 @@ def clopper_pearson_interval(successes: int, trials: int,
         raise ConfigurationError(f"successes must be in [0, {trials}], got {successes}")
     if not 0.0 < confidence < 1.0:
         raise ConfigurationError(f"confidence must be in (0, 1), got {confidence}")
+    from scipy import stats  # slow to import; only audits need it
+
     alpha = 1.0 - confidence
     if successes == 0:
         lower = 0.0

@@ -8,7 +8,7 @@ randomized response is provided as an alternative adjacency perturbation.
 from __future__ import annotations
 
 import numpy as np
-from scipy import optimize, stats
+from scipy import optimize
 
 from repro.exceptions import PrivacyBudgetError
 from repro.utils.random import as_rng
@@ -50,6 +50,9 @@ def analytic_gaussian_sigma(sensitivity: float, epsilon: float, delta: float) ->
     """
     if sensitivity <= 0 or epsilon <= 0 or not 0 < delta < 1:
         raise PrivacyBudgetError("invalid (sensitivity, epsilon, delta) for Gaussian mechanism")
+    # Imported here: scipy.stats is slow to import, and every process that
+    # imports repro would pay for it at start-up for this one function.
+    from scipy import stats
 
     def delta_of_sigma(sigma: float) -> float:
         a = sensitivity / (2.0 * sigma)

@@ -129,6 +129,9 @@ class GraphStore:
         self._graphs: OrderedDict[int, GraphDataset] = OrderedDict({0: graph})
         self._digests: dict[int, str] = {
             0: graph_fingerprint(graph.adjacency)}
+        # Kept apart from the history window, which evicts old digests:
+        # served manifests' training graph_digest is checked against it.
+        self.base_digest = self._digests[0]
         self._log: list[dict] = []  # append-only; one entry per epoch advance
 
     # ------------------------------------------------------------------ #

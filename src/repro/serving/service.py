@@ -44,7 +44,8 @@ validation) and :func:`format_prediction` (response shaping), so the
 frontend stays pure plumbing.
 
 The graph a model is served against defaults to the dataset preset recorded
-in its manifest at publish time (name, scale, seed); pass ``graph=`` or a
+in its manifest at publish time (name, scale, seed), and must hash to the
+manifest's recorded ``graph_digest`` when it has one; pass ``graph=`` or a
 ``graph_loader`` to serve against a different node universe.
 """
 
@@ -257,20 +258,34 @@ class InferenceService:
     # graph stores
     # ------------------------------------------------------------------ #
     def _store_for(self, manifest: dict) -> GraphStore:
-        """The graph store a model serves against (built on first use)."""
+        """The graph store a model serves against (built on first use).
+
+        A graph regenerated from the manifest's provenance must be the one
+        the model was trained on: its epoch-0 digest is checked against the
+        manifest's ``graph_digest``, so a generator that drifted fails here
+        instead of serving wrong answers.
+        """
         with self._graph_lock:
             default = self._graphs.get("default")
             if default is not None:
                 return default
             key = _store_key_for(manifest)
             store = self._graphs.get(key)
-            if store is not None:
-                return store
-        # Load outside the lock: dataset construction is the expensive part.
-        graph = self._graph_loader(manifest)
-        with self._graph_lock:
-            return self._graphs.setdefault(key,
-                                           GraphStore(graph, key=key))
+        if store is None:
+            # Load outside the lock: dataset construction is the expensive
+            # part.
+            graph = self._graph_loader(manifest)
+            with self._graph_lock:
+                store = self._graphs.setdefault(key,
+                                                GraphStore(graph, key=key))
+        if self._graph_loader is _default_graph_loader:
+            trained = manifest.get("training", {}).get("graph_digest")
+            if trained and trained != store.base_digest:
+                raise ConfigurationError(
+                    f"model was trained on graph {trained}, but the graph "
+                    f"regenerated for {key!r} has digest {store.base_digest}; "
+                    f"refusing to serve it against a different graph")
+        return store
 
     def _resolve_store(self, name: str | None) -> GraphStore:
         """The store a graph update targets (by key, or the only one)."""

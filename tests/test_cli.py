@@ -6,12 +6,31 @@ settings so every sub-command runs in seconds; output is captured via capsys.
 
 from __future__ import annotations
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
+import repro
 from repro.cli.main import build_parser, main
 
 
 SMALL = ["--scale", "0.06", "--seed", "0"]
+
+
+def test_cli_import_does_not_load_scipy_stats():
+    """scipy.stats is imported only by the two functions that use it, so a
+    ``repro`` process does not pay for it at start-up."""
+    src = str(Path(repro.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    probe = ("import sys, repro.cli.main; "
+             "print('scipy.stats' in sys.modules)")
+    result = subprocess.run([sys.executable, "-c", probe], check=True,
+                            capture_output=True, text=True,
+                            env={**os.environ, "PYTHONPATH": path})
+    assert result.stdout.strip() == "False"
 
 
 class TestParser:

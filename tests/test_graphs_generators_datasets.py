@@ -1,11 +1,13 @@
 """Tests for synthetic generators, named dataset presets, splits, homophily and IO."""
 
+import dataclasses
 import math
 
 import numpy as np
 import pytest
 
 from repro.exceptions import ConfigurationError
+from repro.graphs import generators
 from repro.graphs.datasets import (
     dataset_statistics,
     get_spec,
@@ -75,6 +77,134 @@ class TestGenerator:
         for cls in range(tiny_spec.num_classes):
             members = np.count_nonzero(tiny_graph.labels[tiny_graph.train_idx] == cls)
             assert members == tiny_spec.train_per_class
+
+
+def _choice_sample_edges(spec, labels, rng):
+    """The edge sampler written on ``rng.choice``: the oracle the CDF-based
+    sampler must match uniform for uniform."""
+    n = spec.num_nodes
+    propensity = rng.pareto(1.0 / max(spec.degree_exponent, 1e-6), size=n) + 1.0
+    by_class = {}
+    class_probs = {}
+    for cls in range(spec.num_classes):
+        members = np.flatnonzero(labels == cls)
+        by_class[cls] = members
+        weights = propensity[members]
+        class_probs[cls] = weights / weights.sum() if members.size else weights
+    all_probs = propensity / propensity.sum()
+    class_sizes = np.array([by_class[c].size for c in range(spec.num_classes)], dtype=np.float64)
+    class_weights = class_sizes / class_sizes.sum()
+
+    seen = set()
+    edges = []
+    max_attempts = 60 * max(spec.num_edges, 1)
+    attempts = 0
+    while len(edges) < spec.num_edges and attempts < max_attempts:
+        attempts += 1
+        if rng.random() < spec.homophily:
+            cls = int(rng.choice(spec.num_classes, p=class_weights))
+            members = by_class[cls]
+            if members.size < 2:
+                continue
+            u, v = rng.choice(members, size=2, replace=False, p=class_probs[cls])
+        else:
+            u = int(rng.choice(n, p=all_probs))
+            v = int(rng.choice(n, p=all_probs))
+            if labels[u] == labels[v] or u == v:
+                continue
+        u, v = int(u), int(v)
+        if u == v:
+            continue
+        key = (min(u, v), max(u, v))
+        if key in seen:
+            continue
+        seen.add(key)
+        edges.append(key)
+    return np.array(edges, dtype=np.int64).reshape(-1, 2)
+
+
+def _choice_sample_features(spec, labels, rng):
+    """The feature sampler written on ``rng.choice`` (the oracle)."""
+    d0 = spec.num_features
+    topic_size = max(4, min(d0 // spec.num_classes, 48))
+    class_topics = [
+        rng.choice(d0, size=min(topic_size, d0), replace=False)
+        for _ in range(spec.num_classes)
+    ]
+    features = np.zeros((spec.num_nodes, d0), dtype=np.float64)
+    active = max(1, min(spec.feature_active, d0))
+    for node in range(spec.num_nodes):
+        topic = class_topics[labels[node]]
+        count = max(1, rng.poisson(active))
+        from_topic = rng.random(count) < spec.feature_signal
+        n_topic = int(from_topic.sum())
+        dims = []
+        if n_topic:
+            dims.extend(rng.choice(topic, size=n_topic, replace=True).tolist())
+        n_bg = count - n_topic
+        if n_bg:
+            dims.extend(rng.choice(d0, size=n_bg, replace=True).tolist())
+        features[node, np.unique(dims)] = 1.0
+    return features
+
+
+def _graph_arrays(graph):
+    adjacency = graph.adjacency
+    return {"indptr": adjacency.indptr, "indices": adjacency.indices,
+            "data": adjacency.data, "features": graph.features,
+            "labels": graph.labels, "train_idx": graph.train_idx,
+            "val_idx": graph.val_idx, "test_idx": graph.test_idx}
+
+
+_PRESET_CASES = [(name, 0.06, seed) for name in list_datasets() for seed in (0, 1, 7)]
+_PRESET_CASES += [(name, 0.25, 3) for name in list_datasets()]
+
+
+class TestGeneratorMatchesChoice:
+    """The CDF-based draws replay ``Generator.choice`` byte for byte: the
+    same graph from the same seed, and the same number of uniforms used."""
+
+    def _assert_matches_oracle(self, spec, seed, monkeypatch):
+        rng = np.random.default_rng(seed)
+        graph = generate_citation_graph(spec, rng)
+        oracle_rng = np.random.default_rng(seed)
+        with monkeypatch.context() as patch:
+            patch.setattr(generators, "_sample_edges", _choice_sample_edges)
+            patch.setattr(generators, "_sample_features", _choice_sample_features)
+            expected = generate_citation_graph(spec, oracle_rng)
+        for name, array in _graph_arrays(expected).items():
+            actual = _graph_arrays(graph)[name]
+            assert actual.dtype == array.dtype, name
+            assert actual.shape == array.shape, name
+            assert actual.tobytes() == array.tobytes(), name
+        assert rng.bit_generator.state == oracle_rng.bit_generator.state
+
+    @pytest.mark.parametrize("name,scale,seed", _PRESET_CASES)
+    def test_presets(self, name, scale, seed, monkeypatch):
+        self._assert_matches_oracle(get_spec(name).scaled(scale), seed, monkeypatch)
+
+    @pytest.mark.parametrize("seed", [0, 3, 7])
+    def test_tiny_specs(self, tiny_spec, seed, monkeypatch):
+        heterophilous = dataclasses.replace(tiny_spec, name="tiny_hetero", homophily=0.2)
+        self._assert_matches_oracle(tiny_spec, seed, monkeypatch)
+        self._assert_matches_oracle(heterophilous, seed, monkeypatch)
+
+    def test_pair_draw_replays_choice_collisions(self):
+        # One dominant member: the first two uniforms usually pick it twice,
+        # and choice then draws once more with that member's mass zeroed.
+        p = np.array([0.91, 0.04, 0.03, 0.02])
+        cdf = generators._cdf(p)
+        rng, oracle = np.random.default_rng(11), np.random.default_rng(11)
+        probe = np.random.default_rng()
+        collisions = 0
+        for _ in range(400):
+            probe.bit_generator.state = rng.bit_generator.state
+            first, second = cdf.searchsorted(probe.random(2), side="right")
+            collisions += int(first == second)
+            expected = oracle.choice(p.size, size=2, replace=False, p=p)
+            assert generators._draw_pair(p, cdf, rng) == tuple(expected.tolist())
+        assert collisions > 200
+        assert rng.bit_generator.state == oracle.bit_generator.state
 
 
 class TestDatasetRegistry:

@@ -142,3 +142,67 @@ class TestBackwardSemantics:
         out = (a * b).sum()  # d/dx (10 x^2) = 20 x
         out.backward()
         assert tensor.grad[0] == pytest.approx(60.0)
+
+
+class _UfuncCounter(np.ndarray):
+    """An ndarray view that counts the ufunc calls it takes part in."""
+
+    calls: dict = {}
+
+    def __array_ufunc__(self, ufunc, method, *inputs, **kwargs):
+        _UfuncCounter.calls[ufunc] = _UfuncCounter.calls.get(ufunc, 0) + 1
+        inputs = tuple(x.view(np.ndarray) if isinstance(x, _UfuncCounter) else x
+                       for x in inputs)
+        return getattr(ufunc, method)(*inputs, **kwargs)
+
+
+def _counted(*tensors):
+    for tensor in tensors:
+        tensor.data = tensor.data.view(_UfuncCounter)
+
+
+class TestConstantOperandsGetNoGradient:
+    """A backward computes no product for an operand that needs no gradient."""
+
+    def test_matmul_with_constant_input_computes_one_product(self):
+        rng = np.random.default_rng(0)
+        x = Tensor(rng.normal(size=(5, 3)))
+        weight = Tensor(rng.normal(size=(3, 4)), requires_grad=True)
+        _counted(x, weight)
+        out = (x @ weight).sum()
+        _UfuncCounter.calls = {}
+        out.backward()
+        assert _UfuncCounter.calls.get(np.matmul) == 1
+        np.testing.assert_array_equal(
+            weight.grad, x.data.view(np.ndarray).T @ np.ones((5, 4)))
+        assert x.grad is None
+
+    def test_mul_by_constant_mask_computes_one_product(self):
+        rng = np.random.default_rng(1)
+        hidden = Tensor(rng.normal(size=(4, 3)), requires_grad=True)
+        mask = Tensor((rng.random((4, 3)) < 0.5) * 2.0)
+        _counted(hidden, mask)
+        out = (hidden * mask).sum()
+        _UfuncCounter.calls = {}
+        out.backward()
+        assert _UfuncCounter.calls.get(np.multiply) == 1
+        np.testing.assert_array_equal(hidden.grad, mask.data.view(np.ndarray))
+        assert mask.grad is None
+
+    @pytest.mark.parametrize("op", ["add", "mul", "div", "matmul"])
+    def test_gradients_match_with_either_operand_constant(self, op):
+        rng = np.random.default_rng(2)
+        left, right = rng.normal(size=(3, 3)), rng.normal(size=(3, 3)) + 3.0
+        apply = {"add": lambda a, b: a + b, "mul": lambda a, b: a * b,
+                 "div": lambda a, b: a / b, "matmul": lambda a, b: a @ b}[op]
+        both = [Tensor(left, requires_grad=True),
+                Tensor(right, requires_grad=True)]
+        apply(*both).sum().backward()
+        for constant in (0, 1):
+            pair = [Tensor(left, requires_grad=True),
+                    Tensor(right, requires_grad=True)]
+            pair[constant].requires_grad = False
+            apply(*pair).sum().backward()
+            assert pair[constant].grad is None
+            trained = 1 - constant
+            np.testing.assert_array_equal(pair[trained].grad, both[trained].grad)

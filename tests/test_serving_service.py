@@ -15,8 +15,10 @@ import urllib.request
 import numpy as np
 import pytest
 
+from repro.cli.main import main
 from repro.core.config import GCONConfig
 from repro.core.model import GCON
+from repro.core.propagation import graph_fingerprint
 from repro.exceptions import ConfigurationError
 from repro.graphs.datasets import load_dataset
 from repro.serving import InferenceService, ModelRegistry, serve_http
@@ -134,6 +136,7 @@ class TestServiceApi:
 
     def test_graph_rebuilds_from_manifest_when_not_injected(self, registry,
                                                             model, graph):
+        # The fixture's manifest records no graph_digest: nothing to check.
         service = InferenceService(registry)  # no graph= injection
         offline = model.decision_scores(graph, mode="private")
         assert np.array_equal(service.predict_scores("demo", [0, 1]),
@@ -147,6 +150,82 @@ class TestServiceApi:
         stats = service.stats()
         assert stats["batcher"]["requests"] >= 1
         assert stats["feature_cache"]["sessions"] >= 1
+
+
+class TestTrainingGraphDigest:
+    """A graph regenerated from the manifest's provenance is checked
+    against the manifest's recorded training ``graph_digest``."""
+
+    @staticmethod
+    def _publish(registry, model, name, **digest):
+        registry.publish(model, name, inference_mode="private",
+                         training={"dataset": "cora_ml", "scale": 0.06,
+                                   "graph_seed": 0, **digest})
+
+    def test_wrong_digest_raises_naming_both(self, tmp_path, model, graph):
+        registry = ModelRegistry(tmp_path / "reg")
+        self._publish(registry, model, "stale", graph_digest="0" * 40)
+        service = InferenceService(registry)
+        with pytest.raises(ConfigurationError) as error:
+            service.predict_scores("stale", [0])
+        assert "0" * 40 in str(error.value)
+        assert graph_fingerprint(graph.adjacency) in str(error.value)
+
+    def test_right_digest_serves_bitwise_offline(self, tmp_path, model,
+                                                 graph):
+        registry = ModelRegistry(tmp_path / "reg")
+        self._publish(registry, model, "demo",
+                      graph_digest=graph_fingerprint(graph.adjacency))
+        service = InferenceService(registry)
+        offline = model.decision_scores(graph, mode="private")
+        assert np.array_equal(service.predict_scores("demo", [0, 1]),
+                              offline[[0, 1]])
+
+    def test_manifests_sharing_a_store_are_each_checked(self, tmp_path,
+                                                        model, graph):
+        registry = ModelRegistry(tmp_path / "reg")
+        self._publish(registry, model, "good",
+                      graph_digest=graph_fingerprint(graph.adjacency))
+        self._publish(registry, model, "stale", graph_digest="f" * 40)
+        service = InferenceService(registry)
+        service.predict_scores("good", [0])
+        with pytest.raises(ConfigurationError, match="f" * 40):
+            service.predict_scores("stale", [0])
+        assert len(service.graph_epochs()) == 1
+
+    def test_check_outlives_the_history_window(self, tmp_path, model, graph):
+        """Updates evict epoch 0's digest from the store's history; the
+        check still compares against the graph as it was regenerated."""
+        registry = ModelRegistry(tmp_path / "reg")
+        digest = graph_fingerprint(graph.adjacency)
+        self._publish(registry, model, "demo", graph_digest=digest)
+        service = InferenceService(registry)
+        service.predict_scores("demo", [0])
+        store = service._resolve_store(None)
+        for seed in range(store.max_history + 1):
+            service.apply_graph_update(sample_insert=1, seed=seed)
+        assert 0 not in store.retained_epochs()
+        self._publish(registry, model, "later", graph_digest=digest)
+        service.predict_scores("later", [0])
+
+    def test_injected_graph_or_loader_skips_the_check(self, tmp_path, model,
+                                                      graph):
+        registry = ModelRegistry(tmp_path / "reg")
+        self._publish(registry, model, "stale", graph_digest="0" * 40)
+        offline = model.decision_scores(graph, mode="private")
+        for service in (InferenceService(registry, graph=graph),
+                        InferenceService(registry,
+                                         graph_loader=lambda _m: graph)):
+            assert np.array_equal(service.predict_scores("stale", [3]),
+                                  offline[[3]])
+
+    def test_serve_exits_2_at_warm_up(self, tmp_path, model, capsys):
+        registry = ModelRegistry(tmp_path / "reg")
+        self._publish(registry, model, "stale", graph_digest="0" * 40)
+        exit_code = main(["serve", "--registry", str(tmp_path / "reg"),
+                          "--model", "stale@latest", "--port", "0"])
+        assert exit_code == 2
+        assert "0" * 40 in capsys.readouterr().err
 
 
 class TestHttpApi:
