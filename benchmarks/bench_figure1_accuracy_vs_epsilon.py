@@ -6,10 +6,10 @@ MLP and the non-private GCN on each dataset across epsilon in
 homophilous and one heterophilous dataset, three budgets); set
 ``REPRO_BENCH_FULL=1`` for the paper's full grid.
 
-Expected shape (see EXPERIMENTS.md): the non-private GCN is the upper bound,
-adjacency perturbation (DPGCN) and DP-SGD trail far behind at every budget,
-GAP/ProGAP sit in between, and GCON improves monotonically with epsilon,
-approaching the non-private GCN at epsilon = 4.
+Expected shape: the non-private GCN is the upper bound, adjacency
+perturbation (DPGCN) and DP-SGD trail far behind at every budget, GAP/ProGAP
+sit in between, and GCON improves monotonically with epsilon, approaching
+the non-private GCN at epsilon = 4.
 """
 
 from __future__ import annotations
@@ -51,6 +51,7 @@ def test_figure1_accuracy_vs_epsilon(benchmark):
             # non-private GCN upper-bounds the adjacency-perturbation baseline
             # at the loosest budget.  (GCON's own curve is checked only for
             # validity here because a single repeat at reduced n1 is noisy;
-            # the full-scale shape is recorded in EXPERIMENTS.md.)
+            # the full-scale shape is the one this module's docstring
+            # states.)
             assert methods["GCN (non-DP)"][max(epsilons)] \
                 >= methods["DPGCN"][max(epsilons)] - 0.05

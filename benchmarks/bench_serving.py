@@ -23,6 +23,7 @@ asserted in smoke mode too.
 
 from __future__ import annotations
 
+import gc
 import json
 import threading
 import time
@@ -609,45 +610,31 @@ def _run_trace_overhead(settings, registry_root):
 
     latencies = {}
     traced_counters = None
-    collector_stats = None
-    for plane, traced, collect in (("untraced", False, False),
-                                   ("traced", True, False),
-                                   ("collector", True, True)):
+    for plane, traced in (("untraced", False), ("traced", True)):
         service = InferenceService(registry, graph=graph)
         service.prewarm("bench@latest")
         server = serve_http(service, port=0, trace=traced)
         thread = threading.Thread(target=server.serve_forever, daemon=True)
         thread.start()
-        collector = None
-        if collect:
-            from repro.obs.collector import TelemetryCollector
-            from repro.obs.prometheus import render_server_metrics
-            from repro.obs.tsdb import TelemetryStore
-
-            collector = TelemetryCollector(
-                TelemetryStore(),
-                lambda: render_server_metrics(service, server=server,
-                                              tracer=server.tracer),
-                interval=0.1, replica="bench").start()
         try:
             port = server.server_address[1]
             _drive_http_singletons(port, nodes[:8], offline,
                                    expect_trace=traced)  # warm up
+            # Start each plane from a fresh collection: otherwise one
+            # gen-2 pass (~50 ms, set off by the set-up's and earlier
+            # planes' allocations) lands in whichever plane comes next and
+            # is its p99.
+            gc.collect()
             latencies[plane] = _drive_http_singletons(
                 port, nodes, offline, expect_trace=traced)
             if plane == "traced":
                 traced_counters = server.tracer.counters()
-            if collector is not None:
-                collector_stats = collector.stats()
         finally:
-            if collector is not None:
-                collector.close()
             server.shutdown()
             server.server_close()
             service.close()
     return {"num_queries": num_queries, "latencies": latencies,
-            "traced_counters": traced_counters,
-            "collector_stats": collector_stats}
+            "traced_counters": traced_counters}
 
 
 def test_tracing_overhead_within_budget(benchmark, tmp_path):
@@ -660,19 +647,15 @@ def test_tracing_overhead_within_budget(benchmark, tmp_path):
                      "p99": float(np.percentile(values, 99))}
              for plane, values in outcome["latencies"].items()}
     ratio = stats["traced"]["p99"] / stats["untraced"]["p99"]
-    collector_ratio = stats["collector"]["p99"] / stats["untraced"]["p99"]
     record("serving_trace_overhead",
            render_table(
                ["configuration", "p50 ms", "p99 ms"],
                [["--no-trace", f"{stats['untraced']['p50'] * 1e3:.2f}",
                  f"{stats['untraced']['p99'] * 1e3:.2f}"],
                 ["traced (default)", f"{stats['traced']['p50'] * 1e3:.2f}",
-                 f"{stats['traced']['p99'] * 1e3:.2f}"],
-                ["traced + collector", f"{stats['collector']['p50'] * 1e3:.2f}",
-                 f"{stats['collector']['p99'] * 1e3:.2f}"]],
+                 f"{stats['traced']['p99'] * 1e3:.2f}"]],
                title=f"tracing overhead over {outcome['num_queries']} HTTP "
-                     f"singleton predicts: p99 ratio {ratio:.3f} traced, "
-                     f"{collector_ratio:.3f} with the telemetry collector "
+                     f"singleton predicts: p99 ratio {ratio:.3f} "
                      f"(budget {1 + TRACE_OVERHEAD_BUDGET:.2f})"))
 
     # Every traced request produced exactly one finished trace.
@@ -689,20 +672,6 @@ def test_tracing_overhead_within_budget(benchmark, tmp_path):
         f"tracing p99 overhead blew even the loose gate: "
         f"{stats['traced']['p99'] * 1e3:.2f}ms traced vs "
         f"{stats['untraced']['p99'] * 1e3:.2f}ms untraced (ratio {ratio:.2f})")
-    # The telemetry collector rides on the same budget: it scrapes its own
-    # exposition page in-process off the request path, so its plane is held
-    # to the identical loose gate against the untraced baseline.
-    collector_stats = outcome["collector_stats"]
-    assert collector_stats is not None and collector_stats["scrapes"] >= 1, \
-        collector_stats
-    assert collector_stats["errors"] == 0, collector_stats
-    assert stats["collector"]["p99"] <= max(
-        2.0 * stats["untraced"]["p99"],
-        stats["untraced"]["p99"] + 0.005), (
-        f"collector p99 overhead blew the loose gate: "
-        f"{stats['collector']['p99'] * 1e3:.2f}ms vs "
-        f"{stats['untraced']['p99'] * 1e3:.2f}ms untraced "
-        f"(ratio {collector_ratio:.2f})")
 
 
 # --------------------------------------------------------------------------- #

@@ -40,7 +40,7 @@ def main() -> None:
     print(render_series(series, title="Micro-F1 versus privacy budget (mini Figure 1)"))
     print("\nReading guide: GCN (non-DP) is the utility upper bound; MLP ignores all"
           "\nedges and is therefore flat; GCON should dominate the DP competitors and"
-          "\napproach the GCN as epsilon grows (see EXPERIMENTS.md for the full-scale shapes).")
+          "\napproach the GCN as epsilon grows.")
 
 
 if __name__ == "__main__":

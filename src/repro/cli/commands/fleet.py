@@ -1,10 +1,6 @@
-"""The ``fleet`` sub-commands: census inspection and the live dashboard."""
+"""The ``fleet`` sub-command: census inspection."""
 
 from __future__ import annotations
-
-import sys
-import time
-import urllib.error
 
 
 def command_fleet_status(args) -> int:
@@ -27,67 +23,6 @@ def command_fleet_status(args) -> int:
     return 0
 
 
-def command_fleet_watch(args) -> int:
-    """Redraw a live fleet dashboard: scrape every live replica each tick
-    into an in-memory telemetry store, evaluate the alert rules, render.
-
-    The watcher holds no files — its store keeps only the trailing window —
-    so it can point at any fleet directory without touching the replicas'
-    own ``--telemetry-dir`` retention.
-    """
-    from repro.obs.aggregate import scrape_page
-    from repro.obs.alerts import AlertEngine, default_rules, fleet_down_signal, load_rules
-    from repro.obs.dashboard import render_dashboard
-    from repro.obs.tsdb import TelemetryStore
-    from repro.serving import FleetView
-
-    if args.interval <= 0:
-        print(f"--interval must be > 0, got {args.interval:g}", file=sys.stderr)
-        return 2
-    try:
-        rules = load_rules(args.rules) if args.rules else default_rules()
-    except (OSError, ValueError) as error:
-        print(f"fleet watch failed: {error}", file=sys.stderr)
-        return 2
-    # In-memory store: enough retention for the slowest rule window plus
-    # the dashboard window, nothing written to disk.
-    horizon = max([args.window, 300.0,
-                   *(rule.slow_window for rule in rules
-                     if rule.kind == "burn_rate")])
-    store = TelemetryStore(retention=2 * horizon)
-    engine = AlertEngine(
-        rules, store,
-        instants={"fleet_replicas_down": fleet_down_signal(args.fleet_dir)})
-    view = FleetView(args.fleet_dir)
-
-    iterations = 0
-    clear = not args.no_clear and sys.stdout.isatty()
-    try:
-        while True:
-            status = view.status()
-            unreachable = []
-            for replica in status.live:
-                try:
-                    page = scrape_page(replica.base_url, timeout=args.timeout)
-                    store.append_page(page, replica=replica.replica_id)
-                except (urllib.error.URLError, OSError, ValueError):
-                    unreachable.append(replica.replica_id)
-            engine.evaluate()
-            frame = render_dashboard(status, store, engine,
-                                     window=args.window,
-                                     unreachable=unreachable)
-            if clear:
-                print("\x1b[H\x1b[2J", end="")
-            print(frame, flush=True)
-            iterations += 1
-            if args.iterations is not None and iterations >= args.iterations:
-                break
-            time.sleep(args.interval)
-    except KeyboardInterrupt:
-        pass
-    return 0
-
-
 def configure(subparsers) -> None:
     fleet = subparsers.add_parser(
         "fleet", help="inspect a serving fleet's shared membership directory")
@@ -103,30 +38,3 @@ def configure(subparsers) -> None:
                                    "print fleet-wide per-model latency "
                                    "quantiles (exact histogram merge)")
     fleet_status.set_defaults(func=command_fleet_status)
-
-    fleet_watch = fleet_sub.add_parser(
-        "watch", help="live terminal dashboard over the fleet's replicas")
-    fleet_watch.add_argument("--fleet-dir", required=True, dest="fleet_dir",
-                             metavar="DIR",
-                             help="the membership directory the replicas share")
-    fleet_watch.add_argument("--interval", type=float, default=2.0,
-                             metavar="SECONDS",
-                             help="seconds between scrape-and-redraw ticks")
-    fleet_watch.add_argument("--window", type=float, default=60.0,
-                             metavar="SECONDS",
-                             help="trailing window of the rate/p99 columns")
-    fleet_watch.add_argument("--iterations", type=int, default=None,
-                             metavar="N",
-                             help="render N frames then exit (default: run "
-                                  "until interrupted; N=1 is a one-shot "
-                                  "snapshot for scripts and CI)")
-    fleet_watch.add_argument("--rules", default=None, metavar="FILE",
-                             help="JSON alert rule file (default: the "
-                                  "built-in rules)")
-    fleet_watch.add_argument("--timeout", type=float, default=2.0,
-                             metavar="SECONDS",
-                             help="per-replica scrape timeout")
-    fleet_watch.add_argument("--no-clear", action="store_true", dest="no_clear",
-                             help="append frames instead of clearing the "
-                                  "terminal between redraws")
-    fleet_watch.set_defaults(func=command_fleet_watch)

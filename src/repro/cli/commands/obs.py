@@ -1,10 +1,8 @@
-"""Observability commands: ``trace`` and ``alerts``."""
+"""Observability command: ``trace``."""
 
 from __future__ import annotations
 
-import json
 import sys
-from pathlib import Path
 
 
 def command_trace(args) -> int:
@@ -34,61 +32,6 @@ def command_trace(args) -> int:
     return 0
 
 
-def command_alerts(args) -> int:
-    """One-shot alert evaluation over a replica's telemetry store.
-
-    Replays the rule engine over every recorded scrape time in the
-    ``--since`` horizon — so ``for:`` holds are reconstructed exactly as the
-    live collector saw them — prints the verdict table, and exits 1 when
-    anything is firing (the cron/CI contract).  Census instants (fleet,
-    dist queue) read the *current* directories at every replayed tick;
-    rules over them should use ``for: 0``.
-    """
-    from repro.obs.alerts import (
-        AlertEngine,
-        default_rules,
-        fleet_down_signal,
-        format_alert_table,
-        load_rules,
-        quarantine_signal,
-    )
-    from repro.obs.tsdb import TelemetryStore
-
-    if not Path(args.telemetry_dir).is_dir():
-        print(f"alerts failed: telemetry dir {args.telemetry_dir} does not "
-              f"exist (is the replica running with --telemetry-dir?)",
-              file=sys.stderr)
-        return 2
-    try:
-        store = TelemetryStore(Path(args.telemetry_dir))
-        rules = load_rules(args.rules) if args.rules else default_rules()
-    except (OSError, ValueError) as error:
-        print(f"alerts failed: {error}", file=sys.stderr)
-        return 2
-    instants = {}
-    if args.fleet_dir:
-        instants["fleet_replicas_down"] = fleet_down_signal(args.fleet_dir)
-    if args.dist_dir:
-        instants["dist_groups_quarantined"] = quarantine_signal(args.dist_dir)
-    engine = AlertEngine(rules, store, instants=instants)
-
-    times = store.scrape_times()
-    if times:
-        horizon = times[-1] - args.since
-        engine.replay([t for t in times if t >= horizon])
-    else:
-        engine.evaluate()  # census instants still apply to an empty store
-    payload = engine.as_dict()
-    if args.json:
-        print(json.dumps(payload, indent=2, sort_keys=True))
-    else:
-        if not times:
-            print("no scrapes recorded in the telemetry store yet",
-                  file=sys.stderr)
-        print(format_alert_table(payload))
-    return 1 if engine.firing() else 0
-
-
 def configure(subparsers) -> None:
     trace = subparsers.add_parser(
         "trace", help="list or pretty-print request traces from servers")
@@ -102,29 +45,3 @@ def configure(subparsers) -> None:
     trace.add_argument("--limit", type=int, default=10,
                        help="how many recent traces to list per server")
     trace.set_defaults(func=command_trace)
-
-    alerts = subparsers.add_parser(
-        "alerts", help="evaluate alert rules over a telemetry store once")
-    alerts.add_argument("--telemetry-dir", required=True, dest="telemetry_dir",
-                        metavar="DIR",
-                        help="the replica's serve --telemetry-dir store")
-    alerts.add_argument("--rules", default=None, metavar="FILE",
-                        help="JSON alert rule file (default: the built-in "
-                             "SLO burn-rate, shed-rate, trace-loss and "
-                             "census rules)")
-    alerts.add_argument("--fleet-dir", default=None, dest="fleet_dir",
-                        metavar="DIR",
-                        help="also evaluate the replica-down census rule "
-                             "against this fleet membership directory")
-    alerts.add_argument("--dist-dir", default=None, dest="dist_dir",
-                        metavar="DIR",
-                        help="also evaluate the worker-quarantine census "
-                             "rule against this distributed queue")
-    alerts.add_argument("--since", type=float, default=3600.0,
-                        metavar="SECONDS",
-                        help="replay the rule engine over the scrapes of "
-                             "this trailing horizon (default: 3600)")
-    alerts.add_argument("--json", action="store_true",
-                        help="print the full /alerts payload as JSON "
-                             "instead of the table")
-    alerts.set_defaults(func=command_alerts)

@@ -4,7 +4,6 @@ model registry and serve registry models over the batched HTTP JSON API."""
 from __future__ import annotations
 
 import sys
-from pathlib import Path
 
 from repro.cli.commands.shared import (
     add_sweep_grid_arguments,
@@ -122,35 +121,9 @@ def _parse_advertise(advertise: str | None, host: str, port: int) -> tuple[str, 
     return advertise, port
 
 
-def _build_telemetry(args):
-    """Validate the ``--telemetry-dir`` configuration up front, before the
-    socket binds: the store root, the rule set (file or defaults) and the
-    scrape interval all fail here with a clean message, never mid-serve.
-    Returns ``(store, rules, error_message)``."""
-    from repro.obs.alerts import default_rules, load_rules
-    from repro.obs.tsdb import TelemetryStore
-
-    if args.scrape_interval <= 0:
-        return None, None, f"--scrape-interval must be > 0, got {args.scrape_interval:g}"
-    try:
-        store = TelemetryStore(Path(args.telemetry_dir))
-        rules = (load_rules(args.alert_rules) if args.alert_rules
-                 else default_rules())
-    except (OSError, ValueError) as error:
-        return None, None, str(error)
-    return store, rules, None
-
-
 def command_serve(args) -> int:
     """Serve registry models over the selector-loop HTTP JSON API."""
     from repro.serving import InferenceService, SloController, serve_http
-
-    telemetry_store = rules = None
-    if args.telemetry_dir:
-        telemetry_store, rules, error = _build_telemetry(args)
-        if error:
-            print(f"serve failed: {error}", file=sys.stderr)
-            return 2
 
     max_queue_depth = args.max_queue_depth if args.max_queue_depth > 0 else None
     service = InferenceService(
@@ -213,28 +186,6 @@ def command_serve(args) -> int:
 
         service.on_graph_update = _advertise_epochs
 
-    collector = None
-    if telemetry_store is not None:
-        from repro.obs.alerts import AlertEngine, fleet_down_signal
-        from repro.obs.collector import TelemetryCollector
-        from repro.obs.prometheus import render_server_metrics
-
-        instants = {}
-        if args.fleet_dir:
-            instants["fleet_replicas_down"] = fleet_down_signal(args.fleet_dir)
-        engine = AlertEngine(
-            rules, telemetry_store, instants=instants,
-            history_path=Path(args.telemetry_dir) / "alerts.jsonl")
-        server.alerts = engine  # GET /alerts serves the latest evaluation
-        collector = TelemetryCollector(
-            telemetry_store,
-            lambda: render_server_metrics(service, server=server,
-                                          tracer=server.tracer),
-            interval=args.scrape_interval,
-            replica=member.replica_id if member is not None else "local",
-            engine=engine)
-        collector.start()
-
     watcher = None
     if args.reload_interval and args.reload_interval > 0:
         from repro.serving import watch_models
@@ -256,15 +207,10 @@ def command_serve(args) -> int:
                   else "no admission cap")
     fleet_note = (f", fleet {member.replica_id} in {args.fleet_dir} "
                   f"(ttl {args.fleet_ttl:g}s)" if member is not None else "")
-    telemetry_note = (f", telemetry in {args.telemetry_dir} "
-                      f"(scrape {args.scrape_interval:g}s, "
-                      f"{len(rules)} alert rule(s))"
-                      if collector is not None else "")
     print(f"serving {served} on http://{host}:{port} "
           f"(batch<={args.batch_size}, latency<={args.max_latency_ms:g}ms, "
           f"connections<={args.max_connections}, {slo_note}, {depth_note})"
-          f"{fleet_note}{telemetry_note}",
-          file=sys.stderr, flush=True)
+          f"{fleet_note}", file=sys.stderr, flush=True)
     try:
         server.serve_forever()
     except KeyboardInterrupt:
@@ -272,8 +218,6 @@ def command_serve(args) -> int:
     finally:
         if watcher is not None:
             watcher.close()
-        if collector is not None:
-            collector.close()
         if member is not None:
             member.leave()  # graceful: the census drops us immediately
         server.server_close()
@@ -378,22 +322,6 @@ def configure(subparsers) -> None:
                        help="poll the registry's latest pointers this often; "
                             "a flipped version is pre-warmed before the old "
                             "one's queues retire (0 disables hot-reload)")
-    serve.add_argument("--telemetry-dir", default=None, dest="telemetry_dir",
-                       metavar="DIR",
-                       help="retain this replica's own /metrics scrapes in an "
-                            "append-only telemetry store under DIR and run "
-                            "the alert rule engine over them; GET /alerts "
-                            "and 'repro alerts' read the verdicts")
-    serve.add_argument("--scrape-interval", type=float, default=5.0,
-                       dest="scrape_interval", metavar="SECONDS",
-                       help="seconds between telemetry self-scrapes (and "
-                            "alert rule evaluations) when --telemetry-dir "
-                            "is set (default: 5)")
-    serve.add_argument("--alert-rules", default=None, dest="alert_rules",
-                       metavar="FILE",
-                       help="JSON alert rule file evaluated by the telemetry "
-                            "collector (default: the built-in SLO burn-rate, "
-                            "shed-rate, trace-loss and census rules)")
     serve.add_argument("--quiet", action="store_true",
                        help="suppress per-request log lines on stderr")
     serve.add_argument("--no-trace", action="store_true", dest="no_trace",

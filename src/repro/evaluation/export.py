@@ -3,7 +3,7 @@
 Every regenerated table/figure is written in three forms under an output
 directory: a plain-text rendering (tables and ASCII charts), a CSV of the
 underlying series, and a JSON document that round-trips losslessly so that
-EXPERIMENTS.md and downstream analysis can re-load past runs.
+downstream analysis can re-load past runs.
 """
 
 from __future__ import annotations

@@ -6,7 +6,7 @@ paper plots (micro-F1 versus privacy budget / propagation step / restart
 probability).  The benchmark harness under ``benchmarks/`` calls these
 functions with scaled-down settings and prints the series; absolute numbers
 differ from the paper (synthetic data, smaller graphs) but the qualitative
-shape is preserved — see EXPERIMENTS.md for the side-by-side record.
+shape is preserved.
 """
 
 from __future__ import annotations

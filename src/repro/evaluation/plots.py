@@ -3,8 +3,7 @@
 The benchmark harness renders every regenerated figure both as a numeric
 table (:mod:`repro.evaluation.reporting`) and as an ASCII line chart so that
 the *shape* of each curve — who wins, where the crossovers are — is visible
-directly in the captured pytest output and in ``EXPERIMENTS.md`` without any
-plotting dependency.
+directly in the captured pytest output without any plotting dependency.
 """
 
 from __future__ import annotations

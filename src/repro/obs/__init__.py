@@ -1,4 +1,4 @@
-"""Observability: request tracing, Prometheus exposition, fleet telemetry.
+"""Observability: request tracing, Prometheus exposition, fleet aggregation.
 
 Three stdlib-only layers over the serving and distributed subsystems:
 
@@ -16,23 +16,9 @@ Three stdlib-only layers over the serving and distributed subsystems:
   the CLI (it pulls in :mod:`repro.serving`), so it is *not* re-exported
   here.
 
-The retention-and-alerting layer rides on those three (and, like
-``aggregate``, stays out of this package's eager imports because it leans
-on :mod:`repro.serving`):
-
-* :mod:`repro.obs.tsdb` — the :class:`TelemetryStore`: append-only
-  time-bucketed segments of raw scrape samples with bounded retention,
-  plus the windowed query verbs (``rate``, ``window_sum``,
-  ``quantile_over_time``) with monotonic-reset detection;
-* :mod:`repro.obs.collector` — the ``repro serve --telemetry-dir``
-  background thread: render the replica's own page in process, parse it
-  strictly, append, sweep, evaluate;
-* :mod:`repro.obs.alerts` — the declarative rule engine: multi-window SLO
-  burn rates, shed/incomplete-trace ratios, fleet and dist-queue census
-  signals, ``for:`` holds and the firing/resolved state machine behind
-  ``GET /alerts`` and ``repro alerts``;
-* :mod:`repro.obs.dashboard` — the ``repro fleet watch`` terminal
-  dashboard renderer.
+Retention and alerting belong to whatever scrapes ``GET /metrics``: the
+latency histograms it exports are all a burn-rate rule needs (see
+``docs/observability.md``).
 
 Tracing observes, never touches: spans never see scores, and every
 bitwise-equivalence pin holds with tracing on (the default).

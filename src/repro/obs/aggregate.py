@@ -42,8 +42,8 @@ def _get(base_url: str, path: str, timeout: float) -> bytes:
 
 def scrape_page(base_url: str, *,
                 timeout: float = DEFAULT_TIMEOUT) -> str:
-    """Fetch one replica's raw ``/metrics`` exposition text (the telemetry
-    store wants the page, ``# TYPE`` comments included)."""
+    """Fetch one replica's raw ``/metrics`` exposition text, ``# TYPE``
+    comments included."""
     return _get(base_url, "/metrics", timeout).decode("utf-8")
 
 
@@ -114,61 +114,7 @@ def fleet_metrics_report(replicas, *,
         lines.append(f"  {model:<40} {per_model_replicas[model]:>8} "
                      f"{histogram.count:>9} "
                      + " ".join(f"{value:>9.3f}" for value in quantiles))
-    budgets = merge_slo_budgets(sample_sets)
-    if budgets:
-        target = next(iter(budgets.values()))["target_p99_seconds"]
-        objective = next(iter(budgets.values()))["objective"]
-        target_ms = "-" if target is None else f"{target * 1e3:g}ms"
-        lines.append(f"  slo error budget (objective {objective:.2%} "
-                     f"under {target_ms}, cumulative):")
-        lines.append(f"  {'model':<40} {'good':>9} {'bad':>9} "
-                     f"{'attain':>8} {'budget used':>12}")
-        for model, budget in budgets.items():
-            lines.append(f"  {model:<40} {budget['good']:>9.0f} "
-                         f"{budget['bad']:>9.0f} "
-                         f"{budget['attainment']:>8.4f} "
-                         f"{budget['budget_used']:>11.2f}x")
     return "\n".join(lines)
-
-
-def merge_slo_budgets(sample_sets) -> dict:
-    """Fold per-replica SLO error-budget counters into fleet-wide budgets.
-
-    Counters sum exactly across replicas (each request is good or bad on
-    exactly one replica); the per-replica objective/target gauges must
-    agree, since they come from one ``repro serve`` configuration.  Returns
-    ``{model: {"good": g, "bad": b, "attainment": ..., "budget_used": ...,
-    "objective": ..., "target_p99_seconds": ...}}`` — empty when no replica
-    runs an SLO controller.
-    """
-    good: dict[str, float] = {}
-    bad: dict[str, float] = {}
-    objective = None
-    target = None
-    for samples in sample_sets:
-        for name, labels, value in samples:
-            model = labels.get("model", "")
-            if name == "repro_slo_good_requests_total":
-                good[model] = good.get(model, 0.0) + value
-            elif name == "repro_slo_bad_requests_total":
-                bad[model] = bad.get(model, 0.0) + value
-            elif name == "repro_slo_objective_ratio":
-                objective = value if objective is None else objective
-            elif name == "repro_slo_target_p99_seconds":
-                target = value if target is None else target
-    budgets: dict[str, dict] = {}
-    objective = 0.99 if objective is None else objective
-    for model in sorted(set(good) | set(bad)):
-        g, b = good.get(model, 0.0), bad.get(model, 0.0)
-        total = g + b
-        attainment = g / total if total else 1.0
-        allowance = max(1e-9, 1.0 - objective)
-        budgets[model] = {
-            "good": g, "bad": b, "attainment": attainment,
-            "budget_used": (b / total) / allowance if total else 0.0,
-            "objective": objective, "target_p99_seconds": target,
-        }
-    return budgets
 
 
 # --------------------------------------------------------------------------- #

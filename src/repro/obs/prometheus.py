@@ -31,7 +31,10 @@ PROMETHEUS_CONTENT_TYPE = "text/plain; version=0.0.4; charset=utf-8"
 _NAME = re.compile(r"[a-zA-Z_:][a-zA-Z0-9_:]*")
 _SAMPLE = re.compile(
     r"^([a-zA-Z_:][a-zA-Z0-9_:]*)(?:\{(.*)\})?\s+(\S+)(?:\s+\d+)?$")
-_LABEL = re.compile(r'([a-zA-Z_][a-zA-Z0-9_]*)="((?:[^"\\]|\\.)*)"')
+# One `name="value"` pair, which blanks and tabs may surround.
+_LABEL = re.compile(r'[ \t]*([a-zA-Z_][a-zA-Z0-9_]*)="((?:[^"\\]|\\.)*)"[ \t]*')
+_ESCAPE = re.compile(r"\\(.)")
+_UNESCAPED = {"\\": "\\", '"': '"', "n": "\n"}
 
 
 def escape_label_value(value: str) -> str:
@@ -39,9 +42,39 @@ def escape_label_value(value: str) -> str:
             .replace("\n", "\\n"))
 
 
+def _unescape(match: re.Match) -> str:
+    try:
+        return _UNESCAPED[match.group(1)]
+    except KeyError:
+        raise ValueError(
+            f"invalid escape sequence {match.group(0)!r} in a label value"
+        ) from None
+
+
 def _unescape_label_value(value: str) -> str:
-    return (value.replace("\\n", "\n").replace('\\"', '"')
-            .replace("\\\\", "\\"))
+    """Undo :func:`escape_label_value` in one left-to-right pass, so an
+    escaped backslash is never re-read as the start of another escape."""
+    return _ESCAPE.sub(_unescape, value)
+
+
+def _parse_labels(text: str, lineno: int) -> dict[str, str]:
+    """The pairs between a sample's braces: matched one after another from
+    the opening brace, comma-separated, with at most one trailing comma,
+    each name at most once."""
+    labels: dict[str, str] = {}
+    pos = 0
+    while text[pos:].strip(" \t"):
+        match = _LABEL.match(text, pos)
+        if match is None or match.group(1) in labels:
+            raise ValueError(f"malformed labels on line {lineno}: {text!r}")
+        labels[match.group(1)] = _unescape_label_value(match.group(2))
+        pos = match.end()
+        if pos < len(text):
+            if text[pos] != ",":
+                raise ValueError(
+                    f"malformed labels on line {lineno}: {text!r}")
+            pos += 1
+    return labels
 
 
 def format_le(edge: float) -> str:
@@ -221,17 +254,6 @@ def render_server_metrics(service, *, server=None, tracer=None) -> str:
                       "Propagation-cache entries currently held per layer.",
                       {"layer": layer})
 
-    # Series other subsystems published into the registry — today the SLO
-    # controller's error-budget accounting (repro_slo_*).
-    external = getattr(service.metrics, "external_families", None)
-    if external is not None:
-        for name, kind, help_text, entries in external():
-            for labels, value in entries:
-                if kind == "counter":
-                    out.counter(name, value, help_text, labels or None)
-                else:
-                    out.gauge(name, value, help_text, labels or None)
-
     process = process_stats(service.started_at)
     out.gauge("repro_uptime_seconds", process["uptime_seconds"],
               "Seconds since the service started.")
@@ -275,7 +297,9 @@ def parse_prometheus_text(text: str) -> list[tuple[str, dict, float]]:
     assertion, not a permissive shrug.
     """
     samples: list[tuple[str, dict, float]] = []
-    for lineno, line in enumerate(text.splitlines(), 1):
+    # Lines end at "\n" only: str.splitlines would also split on the
+    # unescaped \r, \x1e, \x85 or \u2028 a label value may carry.
+    for lineno, line in enumerate(text.split("\n"), 1):
         stripped = line.strip()
         if not stripped or stripped.startswith("#"):
             continue
@@ -283,17 +307,7 @@ def parse_prometheus_text(text: str) -> list[tuple[str, dict, float]]:
         if match is None:
             raise ValueError(f"malformed exposition line {lineno}: {line!r}")
         name, labels_text, value_text = match.groups()
-        labels: dict[str, str] = {}
-        if labels_text:
-            consumed = 0
-            for label_match in _LABEL.finditer(labels_text):
-                labels[label_match.group(1)] = \
-                    _unescape_label_value(label_match.group(2))
-                consumed = label_match.end()
-            remainder = labels_text[consumed:].strip().strip(",")
-            if remainder:
-                raise ValueError(
-                    f"malformed labels on line {lineno}: {labels_text!r}")
+        labels = _parse_labels(labels_text or "", lineno)
         try:
             value = float(value_text)
         except ValueError:

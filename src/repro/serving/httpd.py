@@ -45,6 +45,7 @@ The surface mirrors ``socketserver`` so existing callers and tests drop in:
 from __future__ import annotations
 
 import json
+import re
 import selectors
 import socket
 import sys
@@ -70,6 +71,8 @@ from repro.serving.slo import OverloadedError
 MAX_HEADER_BYTES = 32 * 1024
 MAX_BODY_BYTES = 8 * 1024 * 1024
 RECV_CHUNK = 64 * 1024
+
+_TOKEN = re.compile(r"[!#$%&'*+\-.^_`|~0-9A-Za-z]+")  # RFC 9110 §5.6.2
 
 _WAKER = object()  # selector data marker for the self-pipe read end
 
@@ -218,9 +221,6 @@ class SelectorHTTPServer:
         self.service = service
         self.tracer = tracer  # a repro.obs.trace.Tracer, or None (untraced)
         self.fleet = fleet  # a FleetRouter, or None outside a fleet
-        # A repro.obs.alerts.AlertEngine when `repro serve --telemetry-dir`
-        # runs a collector; answers GET /alerts from its last evaluation.
-        self.alerts = None
         self.fleet_stats = {"proxied": 0, "redirected": 0,
                             "failover_local": 0, "received_forwards": 0}
         self.max_connections = int(max_connections)
@@ -482,10 +482,6 @@ class SelectorHTTPServer:
                 return 200, {"enabled": False}
             return 200, {"enabled": True, **self.fleet.as_dict(),
                          "stats": dict(self.fleet_stats)}
-        if path == "/alerts":
-            if self.alerts is None:
-                return 200, {"enabled": False, "alerts": []}
-            return 200, {"enabled": True, **self.alerts.as_dict()}
         return 404, {"error": f"unknown path {path!r}"}
 
     def _serve_metrics(self, conn: _Connection, keep_alive: bool) -> None:
@@ -1024,9 +1020,11 @@ def _parse_request(buf: bytearray):
     keep_alive)``; raises :class:`_BadRequest` on malformed framing.
     """
     head_end = buf.find(b"\r\n\r\n")
+    # The same bound whether or not the head is complete yet, so a request
+    # is judged alike however its bytes were split across reads.
+    if (len(buf) if head_end < 0 else head_end + 4) > MAX_HEADER_BYTES:
+        raise _BadRequest(431, "request headers too large")
     if head_end < 0:
-        if len(buf) > MAX_HEADER_BYTES:
-            raise _BadRequest(431, "request headers too large")
         return None
     try:
         head = buf[:head_end].decode("latin-1")
@@ -1040,17 +1038,26 @@ def _parse_request(buf: bytearray):
     headers: dict[str, str] = {}
     for line in lines[1:]:
         name, sep, value = line.partition(":")
-        if not sep or not name.strip():
+        # RFC 9112 §5.1: the field name is a token, with no whitespace
+        # before the colon (nor before the name: that is line folding).
+        if not sep or not _TOKEN.fullmatch(name):
             raise _BadRequest(400, f"malformed header line {line!r}")
-        headers[name.strip().lower()] = value.strip()
-    if "chunked" in headers.get("transfer-encoding", "").lower():
-        raise _BadRequest(400, "chunked request bodies are not supported")
-    try:
-        content_length = int(headers.get("content-length", "0"))
-    except ValueError:
-        raise _BadRequest(400, "invalid Content-Length") from None
-    if content_length < 0:
+        name, value = name.lower(), value.strip(" \t")
+        if name == "content-length" and headers.get(name, value) != value:
+            # RFC 9112 §6.3: differing lengths make the framing ambiguous.
+            raise _BadRequest(400, "conflicting Content-Length headers")
+        headers[name] = value
+    if "transfer-encoding" in headers:
+        # No transfer coding is decoded here, chunked or otherwise.
+        raise _BadRequest(400, "Transfer-Encoding is not supported")
+    length = headers.get("content-length", "0")
+    # ASCII digits only: int() alone would also take "+3" and "1_0".
+    if not (length.isascii() and length.isdigit()):
         raise _BadRequest(400, "invalid Content-Length")
+    try:
+        content_length = int(length)
+    except ValueError:  # more digits than int() converts
+        raise _BadRequest(413, "request body too large") from None
     if content_length > MAX_BODY_BYTES:
         raise _BadRequest(413, "request body too large")
     total = head_end + 4 + content_length

@@ -244,10 +244,6 @@ class ServingMetrics:
     def __init__(self):
         self._lock = threading.Lock()
         self._models: dict[str, ModelMetrics] = {}
-        # Series published *into* the registry by other subsystems (the SLO
-        # controller's error-budget accounting): insertion-ordered
-        # {name: (kind, help, {label_items: value})}.
-        self._external: dict[str, tuple] = {}
 
     def model(self, label: str) -> ModelMetrics:
         with self._lock:
@@ -275,32 +271,6 @@ class ServingMetrics:
         metrics = self.model(label)
         with self._lock:
             metrics.queue_depth.observe(depth)
-
-    # -- externally published series (SLO error budgets) ----------------- #
-    def set_series(self, name: str, value: float, *, kind: str = "gauge",
-                   labels: dict | None = None, help_text: str = "") -> None:
-        """Publish (or update) one sample of an externally owned series so
-        it rides the ``/metrics`` page; ``kind`` is ``gauge`` or ``counter``
-        (the caller owns monotonicity for counters)."""
-        if kind not in ("gauge", "counter"):
-            raise ValueError(f"kind must be gauge or counter, got {kind!r}")
-        key = tuple(sorted((labels or {}).items()))
-        with self._lock:
-            entry = self._external.get(name)
-            if entry is None:
-                entry = self._external[name] = (kind, help_text, {})
-            entry[2][key] = float(value)
-
-    def external_families(self) -> list[tuple]:
-        """``[(name, kind, help, [(labels_dict, value), ...]), ...]`` in
-        publish order, copied under the lock — what the Prometheus renderer
-        appends after the built-in families."""
-        with self._lock:
-            return [(name, kind, help_text,
-                     [(dict(key), value) for key, value in sorted(
-                         series.items())])
-                    for name, (kind, help_text, series)
-                    in self._external.items()]
 
     # -- reading -------------------------------------------------------- #
     def latency_snapshot(self) -> dict:

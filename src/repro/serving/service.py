@@ -52,11 +52,9 @@ manifest's recorded ``graph_digest`` when it has one; pass ``graph=`` or a
 from __future__ import annotations
 
 import json
-import os
 import threading
 import time
 from dataclasses import dataclass
-from pathlib import Path
 
 import numpy as np
 
@@ -73,25 +71,6 @@ from repro.serving.router import ModelRouter
 from repro.serving.slo import OverloadedError, estimate_drain_seconds
 from repro.utils.lru import LRUDict
 from repro.utils.math import row_normalize_l2
-
-# Fault injection for operational drills (the CI alerts-smoke latency
-# spike): when this env var names a file, every batch sleeps the number of
-# milliseconds the file currently holds before computing.  A *file* rather
-# than a value so the delay can be raised and cleared while the server
-# runs; unset (the default) costs the hot path one dict lookup.  Latency
-# only — scores are untouched in every configuration.
-FAULT_DELAY_FILE_ENV = "REPRO_FAULT_COMPUTE_DELAY_MS_FILE"
-
-
-def _fault_compute_delay() -> float:
-    path = os.environ.get(FAULT_DELAY_FILE_ENV)
-    if not path:
-        return 0.0
-    try:
-        text = Path(path).read_text(encoding="utf-8").strip()
-        return max(0.0, float(text) / 1e3) if text else 0.0
-    except (OSError, ValueError):
-        return 0.0
 
 
 def softmax_scores(scores: np.ndarray) -> np.ndarray:
@@ -448,9 +427,6 @@ class InferenceService:
 
     def _score_rows(self, session_key: tuple, nodes: np.ndarray) -> np.ndarray:
         """The batcher's compute hook: one stacked matmul over cached rows."""
-        delay = _fault_compute_delay()
-        if delay > 0.0:
-            time.sleep(delay)  # injected latency only; scores untouched
         with self._lock:
             session = self._sessions.get_or_none(session_key)
         if session is None:  # evicted between submit and dispatch; rebuild

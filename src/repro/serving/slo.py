@@ -34,15 +34,17 @@ Neither mechanism touches the data plane's one promise: budgets and
 admission change *when* a matmul runs and *whether* a request is accepted —
 never the numbers a served request returns, which stay bitwise equal to
 offline ``decision_scores``.
+
+The controller tunes batch budgets; it does not judge the SLO.  Whether a
+latency objective is burning is a rule over the
+``repro_request_latency_seconds`` histogram that ``GET /metrics`` exports,
+owned by whatever scrapes it (``docs/observability.md``).
 """
 
 from __future__ import annotations
 
 import math
 import threading
-import time
-from bisect import bisect_right
-from collections import deque
 from dataclasses import dataclass, field
 
 from repro.exceptions import ReproError
@@ -94,13 +96,7 @@ class ModelBudget:
     ticks_over: int = 0       # windows over the target p99
     grown: int = 0            # additive increases applied
     backed_off: int = 0       # multiplicative backoffs applied
-    good_total: int = 0       # requests at or under the target (cumulative)
-    bad_total: int = 0        # requests over the target (cumulative)
-    budget_remaining: float = 1.0   # over the rolling budget window
-    budget_consumed: float = 0.0
-    burn_rate: float = 0.0
     _counts: tuple = field(default=(), repr=False)  # last snapshot
-    _history: deque = field(default_factory=deque, repr=False)
 
     @property
     def slo_attainment(self) -> float:
@@ -120,11 +116,6 @@ class ModelBudget:
             "grown": self.grown,
             "backed_off": self.backed_off,
             "slo_attainment": self.slo_attainment,
-            "good_requests": self.good_total,
-            "bad_requests": self.bad_total,
-            "error_budget_remaining": self.budget_remaining,
-            "error_budget_consumed": self.budget_consumed,
-            "burn_rate": self.burn_rate,
         }
 
 
@@ -154,25 +145,16 @@ class SloController:
         Floor for the flush deadline under backoff; the ceiling is the
         router-wide default the server was started with (the deadline
         recovers additively toward it).
-    clock:
-        Injectable time source (the tests drive a fake one).
     """
 
     def __init__(self, router, *, target_p99: float, metrics=None,
                  interval: float = 0.25, increase_by: int = 8,
                  backoff: float = 0.5, min_batch_size: int = 1,
-                 max_batch_size: int = 4096, min_latency: float = 0.0005,
-                 objective: float = 0.99, budget_window: float = 3600.0,
-                 clock=time.monotonic):
+                 max_batch_size: int = 4096, min_latency: float = 0.0005):
         if target_p99 <= 0:
             raise ValueError(f"target_p99 must be > 0, got {target_p99}")
         if not 0.0 < backoff < 1.0:
             raise ValueError(f"backoff must be in (0, 1), got {backoff}")
-        if not 0.0 < objective < 1.0:
-            raise ValueError(f"objective must be in (0, 1), got {objective}")
-        if budget_window <= 0:
-            raise ValueError(
-                f"budget_window must be > 0, got {budget_window}")
         if increase_by < 1:
             raise ValueError(f"increase_by must be >= 1, got {increase_by}")
         if not 1 <= min_batch_size <= max_batch_size:
@@ -188,17 +170,11 @@ class SloController:
         self.min_batch_size = int(min_batch_size)
         self.max_batch_size = int(max_batch_size)
         self.min_latency = float(min_latency)
-        self.objective = float(objective)
-        self.budget_window = float(budget_window)
-        # Buckets whose upper edge is at or under the target hold the
-        # "good" requests; the error budget is everything above.
-        self._good_buckets = bisect_right(LATENCY_BUCKETS, self.target_p99)
         # The deadline ceiling and its additive recovery step are anchored to
         # the router-wide default: what the operator configured is the most
         # the controller will ever let a batch wait.
         self.base_latency = float(router.max_latency)
         self.latency_step = max(self.base_latency / 4.0, self.min_latency)
-        self._clock = clock
         self._lock = threading.Lock()
         self._budgets: dict[str, ModelBudget] = {}
         self._thread: threading.Thread | None = None
@@ -212,7 +188,7 @@ class SloController:
     def tick(self) -> dict:
         """One control step over every model with traffic; returns the
         per-label decisions (the deterministic entry point the tests call
-        directly with a fake clock and a hand-fed metrics object)."""
+        directly with a hand-fed metrics object)."""
         decisions: dict[str, dict] = {}
         snapshot = self.metrics.latency_snapshot()
         with self._lock:
@@ -228,71 +204,12 @@ class SloController:
                     if budget._counts else list(counts)
                 budget._counts = counts
                 requests = sum(window)
-                self._account(label, budget, window, requests)
                 if requests == 0:
                     continue  # idle window: hold the budgets, judge nothing
                 p99 = bucket_quantile(LATENCY_BUCKETS, window, 0.99,
                                       overflow_value=observed_max)
                 decisions[label] = self._adjust(label, budget, p99, requests)
         return decisions
-
-    def _account(self, label: str, budget: ModelBudget, window,
-                 requests: int) -> None:
-        """Charge this window against the SLO error budget and publish the
-        result into the metrics registry (rides ``/metrics``, retained by
-        the telemetry collector, merged fleet-wide by the aggregator).
-
-        "Good" is exact, not interpolated: requests in latency buckets whose
-        upper edge is at or under the target.  The burn rate of a window is
-        ``(bad / total) / (1 - objective)`` — 1x spends the budget exactly
-        at the sustainable pace.
-        """
-        now = self._clock()
-        good = int(sum(window[:self._good_buckets]))
-        bad = int(requests) - good
-        budget.good_total += good
-        budget.bad_total += bad
-        history = budget._history
-        history.append((now, good, bad))
-        while history and history[0][0] < now - self.budget_window:
-            history.popleft()
-        window_good = sum(entry[1] for entry in history)
-        window_bad = sum(entry[2] for entry in history)
-        window_total = window_good + window_bad
-        allowance = 1.0 - self.objective
-        if window_total:
-            budget.burn_rate = (window_bad / window_total) / allowance
-            budget.budget_consumed = window_bad / (allowance * window_total)
-        else:
-            budget.burn_rate = 0.0
-            budget.budget_consumed = 0.0
-        budget.budget_remaining = 1.0 - budget.budget_consumed
-        publish = getattr(self.metrics, "set_series", None)
-        if publish is None:  # hand-fed test doubles only speak snapshots
-            return
-        labels = {"model": label}
-        publish("repro_slo_target_p99_seconds", self.target_p99,
-                help_text="SLO latency objective the controller holds.")
-        publish("repro_slo_objective_ratio", self.objective,
-                help_text="Fraction of requests that must meet the target.")
-        publish("repro_slo_budget_window_seconds", self.budget_window,
-                help_text="Rolling window the error budget is judged over.")
-        publish("repro_slo_good_requests_total", budget.good_total,
-                kind="counter", labels=labels,
-                help_text="Requests at or under the target p99.")
-        publish("repro_slo_bad_requests_total", budget.bad_total,
-                kind="counter", labels=labels,
-                help_text="Requests over the target p99 (budget spend).")
-        publish("repro_slo_error_budget_remaining_ratio",
-                budget.budget_remaining, labels=labels,
-                help_text="Error budget left in the rolling window "
-                          "(1 = untouched, <0 = overspent).")
-        publish("repro_slo_error_budget_consumed_ratio",
-                budget.budget_consumed, labels=labels,
-                help_text="Error budget consumed in the rolling window.")
-        publish("repro_slo_burn_rate", budget.burn_rate, labels=labels,
-                help_text="Budget burn multiple over the rolling window "
-                          "(1x = sustainable pace).")
 
     def _adjust(self, label: str, budget: ModelBudget, p99: float,
                 requests: int) -> dict:
@@ -362,8 +279,6 @@ class SloController:
                       for label, budget in sorted(self._budgets.items())}
             return {
                 "target_p99_ms": self.target_p99 * 1e3,
-                "objective": self.objective,
-                "budget_window_seconds": self.budget_window,
                 "interval_seconds": self.interval,
                 "increase_by": self.increase_by,
                 "backoff": self.backoff,

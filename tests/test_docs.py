@@ -1,14 +1,19 @@
 """The docs are part of the interface: dead links and undocumented CLI
 surface fail the build (CI runs this module as the ``docs`` job).
 
-Two claims are pinned:
+These claims are pinned:
 
 * every relative markdown link in ``README.md`` and ``docs/*.md`` resolves
   to a real file in the repo;
 * ``docs/cli.md`` names every registered ``repro`` subcommand (including
   the ``dist`` sub-subcommands) and every long option flag, discovered by
   walking the live argparse tree — the reference cannot silently drift
-  from the code.
+  from the code;
+* and the reverse: every `` `repro …` `` command and every ``--flag`` the
+  page names exists in that tree, so a deleted command or flag cannot
+  linger in the reference;
+* the ``le`` bucket ``docs/observability.md`` gives for an external
+  burn-rate rule is the one ``/metrics`` exports for the default target.
 """
 
 from __future__ import annotations
@@ -27,6 +32,14 @@ DOC_FILES = sorted([REPO_ROOT / "README.md",
 
 # [text](target) — excluding images and in-page anchors.
 _LINK = re.compile(r"(?<!\!)\[[^\]]+\]\(([^)\s]+)\)")
+# `repro <words>` in inline code or a console prompt, and long flags
+# anywhere on the page.
+_COMMAND = re.compile(r"(?:`|^\$ )repro((?: [a-z][a-z0-9-]*)+)", re.MULTILINE)
+_FLAG = re.compile(r"(?<![\w-])--[a-z][a-z0-9-]*")
+# Flags docs/cli.md may name although no repro parser defines them.
+FOREIGN_FLAGS = {
+    "--smoke": "a pytest option of benchmarks/conftest.py, not a repro flag",
+}
 
 
 def _relative_links(text: str) -> list[str]:
@@ -81,6 +94,49 @@ def test_cli_doc_names_every_long_flag(cli_doc):
                 if option.startswith("--") and option not in cli_doc:
                     missing.append(f"{command} {option}")
     assert not missing, f"docs/cli.md does not mention: {sorted(set(missing))}"
+
+
+def test_cli_doc_names_only_live_commands(cli_doc):
+    root, stale = build_parser(), []
+    for words in _COMMAND.findall(cli_doc):
+        parser = root
+        for word in words.split():
+            choices = next((action.choices for action in parser._actions
+                            if isinstance(action, argparse._SubParsersAction)),
+                           None)
+            if choices is None:
+                break  # a leaf command: the remaining words are arguments
+            if word not in choices:
+                stale.append(f"repro{words}")
+                break
+            parser = choices[word]
+    assert not stale, \
+        f"docs/cli.md names commands that do not exist: {sorted(set(stale))}"
+
+
+def test_cli_doc_names_only_live_flags(cli_doc):
+    root = build_parser()
+    parsers = [root, *(sub for _, sub in _subcommand_tree(root))]
+    live = {option for parser in parsers for action in parser._actions
+            for option in action.option_strings}
+    stale = sorted(set(_FLAG.findall(cli_doc)) - live - set(FOREIGN_FLAGS))
+    assert not stale, f"docs/cli.md names flags no parser defines: {stale}"
+
+
+def test_observability_doc_names_the_exported_slo_bucket():
+    """The burn-rate recipe's ``le`` is the bucket edge ``/metrics`` exports
+    at or under the default ``--slo-p99-ms`` target, spelled as rendered."""
+    from bisect import bisect_right
+
+    from repro.obs.prometheus import format_le
+    from repro.serving.metrics import LATENCY_BUCKETS
+
+    args = build_parser().parse_args(["serve", "--registry", "r",
+                                      "--model", "m@latest"])
+    edge = LATENCY_BUCKETS[bisect_right(LATENCY_BUCKETS,
+                                        args.slo_p99_ms / 1e3) - 1]
+    doc = (REPO_ROOT / "docs" / "observability.md").read_text(encoding="utf-8")
+    assert f'le="{format_le(edge)}"' in doc
 
 
 def test_readme_links_into_docs():

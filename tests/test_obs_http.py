@@ -215,7 +215,7 @@ class TestSingleServer:
         assert f"trace {trace_id}" in tree
         assert "predict" in tree and "compute" in tree
         assert main(["trace", "0" * 32, "--url", server.url]) == 1
-        assert "not found" in capsys.readouterr().err
+        assert "not found on any replica" in capsys.readouterr().err
 
 
 class TestUntraced:

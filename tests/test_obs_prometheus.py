@@ -1,9 +1,15 @@
-"""Tests for Prometheus exposition: render, strict parse, round-trip, and
-the fleet-wide histogram merge + trace tree rendering."""
+"""Tests for Prometheus exposition: render, strict parse, round-trip, the
+latency bucket an external SLO rule reads, and the fleet-wide histogram
+merge + trace tree rendering."""
 
 from __future__ import annotations
 
+import math
+from bisect import bisect_right
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.obs.aggregate import (
     merge_latency_histograms,
@@ -17,12 +23,39 @@ from repro.obs.prometheus import (
     format_le,
     histogram_series,
     parse_prometheus_text,
+    render_server_metrics,
 )
-from repro.serving.metrics import LATENCY_BUCKETS, Histogram
+from repro.obs.trace import Tracer
+from repro.serving.metrics import LATENCY_BUCKETS, Histogram, ServingMetrics
 
 
 def _snapshot(histogram: Histogram) -> dict:
     return histogram.snapshot()
+
+
+class _Stats:
+    requests = rows_requested = batches = 0
+    matmuls = coalesced_requests = 0
+
+
+class _Batcher:
+    stats = _Stats()
+
+
+class _Service:
+    """The slice of ``InferenceService`` the ``/metrics`` renderer reads,
+    for a service that has seen no traffic but what a test records."""
+
+    def __init__(self):
+        self.metrics = ServingMetrics()
+        self.batcher = _Batcher()
+        self.shed_counts = {}
+        self.cache_stats = {"feature_hits": 3, "feature_misses": 1}
+        self.started_at = 0.0
+
+    @staticmethod
+    def loaded_digests():
+        return ["d" * 64]
 
 
 class TestRenderer:
@@ -56,12 +89,79 @@ class TestRenderer:
             MetricsRenderer().counter("bad name", 1, "nope")
 
     def test_label_escaping_round_trips(self):
-        tricky = 'demo"with\\quotes\nand newline'
-        assert '"' not in escape_label_value(tricky).replace('\\"', "")
+        # The second name is a backslash then "n": escaped to two
+        # backslashes then "n", which must not unescape to a newline.
+        for tricky in ('demo"with\\quotes\nand newline', "a\\nb"):
+            assert '"' not in escape_label_value(tricky).replace('\\"', "")
+            out = MetricsRenderer()
+            out.counter("repro_x_total", 1, "X.", {"model": tricky})
+            samples = parse_prometheus_text(out.render())
+            assert samples == [("repro_x_total", {"model": tricky}, 1.0)]
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.dictionaries(st.from_regex(r"[a-zA-Z_][a-zA-Z0-9_]{0,8}",
+                                         fullmatch=True),
+                           st.text(), min_size=1, max_size=4),
+           st.integers(min_value=0, max_value=2 ** 53))
+    def test_label_values_round_trip(self, labels, value):
+        """Render then parse returns every label value exactly, whatever
+        text it holds, with several labels on one sample."""
         out = MetricsRenderer()
-        out.counter("repro_x_total", 1, "X.", {"model": tricky})
-        samples = parse_prometheus_text(out.render())
-        assert samples == [("repro_x_total", {"model": tricky}, 1.0)]
+        out.gauge("repro_x", value, "X.", labels)
+        out.counter("repro_y_total", value, "Y.", labels)
+        assert parse_prometheus_text(out.render()) == [
+            ("repro_x", labels, float(value)),
+            ("repro_y_total", labels, float(value))]
+
+    @pytest.mark.parametrize("value, text", [
+        (True, "1"), (False, "0"), (7, "7"),
+        (2 ** 53, "9007199254740992"),  # an int is never rounded via float
+        (0.25, "0.25"),
+    ])
+    def test_sample_values_render_exactly(self, value, text):
+        out = MetricsRenderer()
+        out.gauge("repro_x", value, "X.")
+        assert out.render().splitlines()[-1] == f"repro_x {text}"
+        assert parse_prometheus_text(out.render()) == [
+            ("repro_x", {}, float(value))]
+
+    @pytest.mark.parametrize("raw, escaped", [
+        ("\\", "\\\\"), ('"', '\\"'), ("\n", "\\n"),
+        ("\t", "\t"),  # only backslash, quote and newline are escaped
+    ])
+    def test_escape_label_value(self, raw, escaped):
+        assert escape_label_value(raw) == escaped
+
+    def test_histogram_lines_are_cumulative_with_le_last(self):
+        hist = Histogram(bounds=(0.01, 0.1))
+        for value in (0.005, 0.05, 0.05, 5.0):
+            hist.observe(value)
+        out = MetricsRenderer()
+        out.histogram("m", _snapshot(hist), "M.", {"model": "demo"})
+        assert out.render().splitlines()[2:] == [
+            'm_bucket{model="demo",le="0.01"} 1',
+            'm_bucket{model="demo",le="0.1"} 3',
+            'm_bucket{model="demo",le="+Inf"} 4',
+            'm_sum{model="demo"} 5.105',
+            'm_count{model="demo"} 4',
+        ]
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.lists(st.integers(min_value=0, max_value=10 ** 6), min_size=2,
+                    max_size=8),
+           st.floats(min_value=0.0, max_value=1e6))
+    def test_histogram_round_trips_raw_counts(self, counts, total):
+        """Render then ``histogram_series`` gives back the raw bucket
+        counts, the bounds, the sum and the count of any snapshot."""
+        bounds = tuple(float(2 ** i) for i in range(len(counts) - 1))
+        out = MetricsRenderer()
+        out.histogram("m", {"bounds": bounds, "counts": tuple(counts),
+                            "sum": total, "count": sum(counts)},
+                      "M.", {"model": "demo"})
+        series = histogram_series(parse_prometheus_text(out.render()), "m")
+        assert series == {(("model", "demo"),): {
+            "bounds": list(bounds), "counts": counts, "sum": total,
+            "count": sum(counts)}}
 
     def test_format_le_round_trips_through_float(self):
         for edge in LATENCY_BUCKETS:
@@ -76,19 +176,60 @@ class TestParser:
         samples = parse_prometheus_text(
             "# HELP x X.\n# TYPE x counter\n"
             'x{a="1",b="two"} 3\n'
-            "y 4.5\n\n")
+            "y 4.5\n\n"
+            'z{ a="1" , b="2" ,} 5\n')
         assert samples == [("x", {"a": "1", "b": "two"}, 3.0),
-                          ("y", {}, 4.5)]
+                          ("y", {}, 4.5),
+                          ("z", {"a": "1", "b": "2"}, 5.0)]
 
     @pytest.mark.parametrize("bad", [
         "x{unterminated 3",
         "x{a=unquoted} 3",
         "just some words here",
         "x notanumber",
+        # Labels follow one another from the brace, comma-separated.
+        'm{a="1" JUNK b="2"} 3',
+        'm{a="1"b="2"} 3',
+        'm{JUNK a="1"} 3',
+        'm{a="1",,} 3',
+        'm{,} 3',
+        'm{a="\\t"} 3',  # not one of the three escapes
+        'm{a="1",a="2"} 3',  # a label name at most once per sample
+        'm{1a="x"} 3',  # names start with a letter or underscore
+        "1m 3",
+        "m{a='1'} 3",  # values are double-quoted
+        'm{a="1"}3',  # blanks separate the value
+        'm{a="1"} 3 tomorrow',  # a timestamp is an integer
     ])
     def test_malformed_lines_raise(self, bad):
         with pytest.raises(ValueError):
             parse_prometheus_text(bad)
+
+    @pytest.mark.parametrize("text, value", [
+        ("+Inf", math.inf), ("-Inf", -math.inf), ("NaN", math.nan),
+        ("1.5e-3", 0.0015),
+    ])
+    def test_special_and_exponent_values(self, text, value):
+        ((_name, _labels, parsed),) = parse_prometheus_text(f"x {text}")
+        assert parsed == value or (math.isnan(parsed) and math.isnan(value))
+
+    def test_timestamp_is_accepted_and_dropped(self):
+        assert parse_prometheus_text('x{a="1"} 3 1700000000000') == [
+            ("x", {"a": "1"}, 3.0)]
+
+    def test_empty_braces_are_an_empty_label_set(self):
+        assert parse_prometheus_text("m{} 3") == [("m", {}, 3.0)]
+
+    def test_crlf_line_endings_parse(self):
+        """Lines split on "\\n" only; the "\\r" of a CRLF page is trimmed."""
+        assert parse_prometheus_text('# TYPE x counter\r\nx 3\r\n'
+                                     'y{a="1"} 4\r\n') == [
+            ("x", {}, 3.0), ("y", {"a": "1"}, 4.0)]
+
+    def test_comments_may_hold_anything(self):
+        assert parse_prometheus_text(
+            '# not {a="sample"\n#\n  # indented\n \t\nx 1\n') == [
+            ("x", {}, 1.0)]
 
     def test_histogram_series_decumulates(self):
         hist = Histogram(bounds=(0.01, 0.1))
@@ -111,34 +252,35 @@ class TestParser:
             histogram_series([("m_bucket", {"le": "0.1"}, 5.0),
                               ("m_bucket", {"le": "+Inf"}, 3.0)], "m")
 
+    def test_histogram_series_requires_le_on_buckets(self):
+        with pytest.raises(ValueError, match="without le"):
+            histogram_series([("m_bucket", {"model": "a"}, 1.0)], "m")
+
+    def test_histogram_series_defaults_sum_and_count(self):
+        """Without ``_sum`` and ``_count`` samples the sum is 0 and the
+        count is the ``+Inf`` bucket."""
+        series = histogram_series([("m_bucket", {"le": "+Inf"}, 5.0),
+                                   ("m_bucket", {"le": "0.1"}, 2.0)], "m")
+        assert series == {(): {"bounds": [0.1], "counts": [2, 3],
+                               "sum": 0.0, "count": 5.0}}
+
+    def test_histogram_series_keys_by_labels_and_skips_other_metrics(self):
+        out = MetricsRenderer()
+        for model, value in (("a", 0.005), ("b", 0.5)):
+            hist = Histogram(bounds=(0.01, 0.1))
+            hist.observe(value)
+            out.histogram("m", _snapshot(hist), "M.", {"model": model})
+        out.counter("m_total", 9, "Not a histogram.")
+        out.histogram("n", _snapshot(Histogram(bounds=(1.0,))), "N.")
+        series = histogram_series(parse_prometheus_text(out.render()), "m")
+        assert {key: data["counts"] for key, data in series.items()} == {
+            (("model", "a"),): [1, 0, 0], (("model", "b"),): [0, 0, 1]}
+
 
 class TestServerPage:
     def test_render_server_metrics_parses_clean(self):
         """The renderer's full page is valid exposition text end to end,
         even against a stub service that never saw traffic."""
-        from repro.obs.prometheus import render_server_metrics
-        from repro.obs.trace import Tracer
-        from repro.serving.metrics import ServingMetrics
-
-        class _Stats:
-            requests = rows_requested = batches = 0
-            matmuls = coalesced_requests = 0
-
-        class _Batcher:
-            metrics = ServingMetrics()
-            stats = _Stats()
-
-        class _Service:
-            metrics = _Batcher.metrics
-            batcher = _Batcher()
-            shed_counts = {}
-            cache_stats = {"feature_hits": 3, "feature_misses": 1}
-            started_at = 0.0
-
-            @staticmethod
-            def loaded_digests():
-                return ["d" * 64]
-
         service = _Service()
         service.metrics.observe_queue_depth("demo", 4)
         tracer = Tracer()
@@ -154,6 +296,55 @@ class TestServerPage:
         assert "repro_traces_active" in names
         # Families are contiguous blocks: each family header appears once.
         assert text.count("# TYPE repro_queue_depth histogram") == 1
+
+
+class TestSloRuleInputs:
+    """The server judges no SLO: an external rule reads good requests off
+    the cumulative ``repro_request_latency_seconds`` bucket at the target
+    and the total off ``_count`` (``docs/observability.md``)."""
+
+    LATENCIES = [1e-4 * 1.3 ** i for i in range(40)]  # 0.1 ms .. ~2.8 s
+
+    @staticmethod
+    def _edge(target: float) -> float:
+        """The largest exported bucket edge at or under ``target``."""
+        return LATENCY_BUCKETS[bisect_right(LATENCY_BUCKETS, target) - 1]
+
+    def _good_and_total(self, service, target: float) -> tuple[float, float]:
+        page = {(name, labels.get("le")): value
+                for name, labels, value
+                in parse_prometheus_text(render_server_metrics(service))
+                if labels.get("model") == "m"}
+        return (page[("repro_request_latency_seconds_bucket",
+                      format_le(self._edge(target)))],
+                page[("repro_request_latency_seconds_count", None)])
+
+    @pytest.mark.parametrize("target", [0.005, 0.050, 0.250])
+    def test_target_bucket_counts_the_requests_within_it(self, target):
+        service = _Service()
+        latency = service.metrics.model("m").latency
+        for value in self.LATENCIES:
+            latency.observe(value)
+        good, total = self._good_and_total(service, target)
+        edge = self._edge(target)
+        assert good == sum(value <= edge for value in self.LATENCIES)
+        assert 0 < good < total
+        assert total == len(self.LATENCIES)
+
+    def test_burn_rate_over_two_scrapes(self):
+        """Objective 90 % within 50 ms: 80 fast and 20 slow requests
+        between two scrapes burn the error budget at 2x."""
+        service = _Service()
+        latency = service.metrics.model("m").latency
+        for _ in range(50):
+            latency.observe(0.001)
+        good0, total0 = self._good_and_total(service, 0.050)
+        for value in [0.001] * 80 + [0.200] * 20:
+            latency.observe(value)
+        good1, total1 = self._good_and_total(service, 0.050)
+        assert (good1 - good0, total1 - total0) == (80, 100)
+        burn = (1 - (good1 - good0) / (total1 - total0)) / (1 - 0.9)
+        assert burn == pytest.approx(2.0)
 
 
 class TestFleetMerge:
@@ -238,76 +429,3 @@ class TestTraceRendering:
         ])
         assert "t1" in text and "predict" in text and "http://a" in text
         assert "!! http://b: connection refused" in text
-
-
-class TestExternalSeries:
-    def test_external_families_render_and_parse(self):
-        """Series published via ServingMetrics.set_series (the SLO error
-        budget) appear on the page with their declared TYPE."""
-        from repro.obs.prometheus import render_server_metrics
-        from repro.serving.metrics import ServingMetrics
-
-        class _Stats:
-            requests = rows_requested = batches = 0
-            matmuls = coalesced_requests = 0
-
-        class _Batcher:
-            metrics = ServingMetrics()
-            stats = _Stats()
-
-        class _Service:
-            metrics = _Batcher.metrics
-            batcher = _Batcher()
-            shed_counts = {}
-            cache_stats = {}
-            started_at = 0.0
-
-            @staticmethod
-            def loaded_digests():
-                return []
-
-        service = _Service()
-        service.metrics.set_series(
-            "repro_slo_good_requests_total", 42, kind="counter",
-            labels={"model": "m"}, help_text="good")
-        service.metrics.set_series(
-            "repro_slo_burn_rate", 1.5, labels={"model": "m"},
-            help_text="burn")
-        text = render_server_metrics(service)
-        samples = {(name, tuple(sorted(labels.items()))): value
-                   for name, labels, value in parse_prometheus_text(text)}
-        key = (("model", "m"),)
-        assert samples[("repro_slo_good_requests_total", key)] == 42.0
-        assert samples[("repro_slo_burn_rate", key)] == 1.5
-        assert "# TYPE repro_slo_good_requests_total counter" in text
-        assert "# TYPE repro_slo_burn_rate gauge" in text
-
-    def test_set_series_rejects_bad_kind(self):
-        from repro.serving.metrics import ServingMetrics
-        with pytest.raises(ValueError, match="kind"):
-            ServingMetrics().set_series("x", 1, kind="summary")
-
-
-class TestSloBudgetMerge:
-    def test_merge_slo_budgets_sums_replicas(self):
-        from repro.obs.aggregate import merge_slo_budgets
-
-        def _page(good, bad):
-            return [("repro_slo_good_requests_total", {"model": "m"}, good),
-                    ("repro_slo_bad_requests_total", {"model": "m"}, bad),
-                    ("repro_slo_objective_ratio", {}, 0.99),
-                    ("repro_slo_target_p99_seconds", {}, 0.05)]
-
-        budgets = merge_slo_budgets([_page(90.0, 10.0), _page(99.0, 1.0)])
-        assert set(budgets) == {"m"}
-        merged = budgets["m"]
-        assert merged["good"] == 189.0
-        assert merged["bad"] == 11.0
-        assert merged["attainment"] == pytest.approx(189.0 / 200.0)
-        # error rate 5.5% against a 1% allowance: 5.5x budget
-        assert merged["budget_used"] == pytest.approx(5.5)
-        assert merged["target_p99_seconds"] == 0.05
-
-    def test_merge_slo_budgets_empty_without_controller(self):
-        from repro.obs.aggregate import merge_slo_budgets
-        assert merge_slo_budgets([[("repro_requests_total", {}, 5.0)]]) == {}

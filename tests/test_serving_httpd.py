@@ -9,6 +9,8 @@ import threading
 import urllib.request
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.core.config import GCONConfig
 from repro.core.model import GCON
@@ -20,7 +22,49 @@ from repro.serving import (
     parse_predict_payload,
     serve_http,
 )
-from repro.serving.httpd import _BadRequest, _parse_request
+from repro.serving.httpd import (
+    MAX_BODY_BYTES,
+    MAX_HEADER_BYTES,
+    _BadRequest,
+    _parse_request,
+)
+
+_TOKEN = st.from_regex(r"[!#$%&'*+\-.^_`|~0-9A-Za-z]{1,12}", fullmatch=True)
+_FRAMING = ("content-length", "transfer-encoding")
+
+
+@st.composite
+def _requests(draw):
+    """The bytes of one well-formed request, body framed by Content-Length."""
+    method = draw(st.sampled_from(["GET", "POST", "PUT", "DELETE"]))
+    path = draw(st.from_regex(r"/[a-z0-9/._-]{0,16}", fullmatch=True))
+    version = draw(st.sampled_from(["HTTP/1.1", "HTTP/1.0"]))
+    fields = draw(st.lists(st.tuples(
+        _TOKEN.filter(lambda name: name.lower() not in _FRAMING),
+        st.from_regex(r"([!-~]([ !-~]{0,14}[!-~])?)?", fullmatch=True)),
+        max_size=4))
+    body = draw(st.binary(max_size=64))
+    if body or draw(st.booleans()):
+        fields.append(("Content-Length", str(len(body))))
+    head = "".join(f"{name}: {value}\r\n" for name, value in fields)
+    raw = f"{method} {path} {version}\r\n{head}\r\n".encode("latin-1")
+    return raw + body
+
+
+# Fragments that steer arbitrary bytes into the parser's deeper branches.
+_FRAGMENTS = st.one_of(
+    st.binary(max_size=6),
+    st.sampled_from([b"\r\n", b"\r\n\r\n", b"GET / HTTP/1.1", b"HTTP/1.0",
+                     b"Content-Length:", b"Transfer-Encoding:",
+                     b"Connection: close", b":", b" ", b"\t", b"0", b"7",
+                     b"-1", b"+3", b"1_0", b"\xb2"]))
+
+
+def _pop_all(buf: bytearray) -> list:
+    popped = []
+    while (request := _parse_request(buf)) is not None:
+        popped.append(request)
+    return popped
 
 
 @pytest.fixture(scope="module")
@@ -129,15 +173,125 @@ class TestParseRequest:
         b"GET /x HTTP/1.1\r\nContent-Length: banana\r\n\r\n",
         b"GET /x HTTP/1.1\r\nContent-Length: -5\r\n\r\n",
         b"POST /x HTTP/1.1\r\nTransfer-Encoding: chunked\r\n\r\n",
+        # Read as 10, 3 and 3 before: int() takes "_" and "+", and
+        # str.strip() a form feed.
+        b"POST /x HTTP/1.1\r\nContent-Length: 1_0\r\n\r\n0123456789",
+        b"POST /x HTTP/1.1\r\nContent-Length: +3\r\n\r\nabc",
+        b"POST /x HTTP/1.1\r\nContent-Length: \x0c3\r\n\r\nabc",
+        # More digits than int() converts from text.
+        pytest.param(b"POST /x HTTP/1.1\r\nContent-Length: " + b"9" * 5000
+                     + b"\r\n\r\n", id="content-length-5000-digits"),
+        # RFC 9112 §6.3: differing lengths leave the framing ambiguous.
+        b"POST /x HTTP/1.1\r\nContent-Length: 3\r\nContent-Length: 5"
+        b"\r\n\r\nabcde",
+        # RFC 9112 §5.1: no whitespace between field name and colon, nor
+        # before the name (obsolete line folding).
+        b"POST /x HTTP/1.1\r\nContent-Length : 3\r\n\r\nabc",
+        b"GET /x HTTP/1.1\r\n X-Folded: y\r\n\r\n",
+        # No transfer coding is decoded, so none is accepted.
+        b"POST /x HTTP/1.1\r\nTransfer-Encoding: gzip\r\n"
+        b"Content-Length: 3\r\n\r\nabc",
     ])
     def test_malformed_framing_raises_bad_request(self, raw):
         with pytest.raises(_BadRequest):
             _parse_request(bytearray(raw))
 
+    @pytest.mark.parametrize("name", [b"content-length", b"CONTENT-LENGTH",
+                                      b"cOnTeNt-LeNgTh"])
+    def test_field_names_are_case_insensitive(self, name):
+        buf = bytearray(b"POST /x HTTP/1.1\r\n" + name + b": 3\r\n\r\nabcGET")
+        _method, _path, headers, body, _ka = _parse_request(buf)
+        assert (headers["content-length"], body) == ("3", b"abc")
+        assert buf == b"GET"
+
+    def test_field_values_lose_surrounding_blanks_and_tabs(self):
+        buf = bytearray(b"POST /x HTTP/1.1\r\nContent-Length: \t3 \t\r\n"
+                        b"X-Note:  two  words\t\r\n\r\nabc")
+        _method, _path, headers, body, _ka = _parse_request(buf)
+        assert body == b"abc"
+        assert headers["x-note"] == "two  words"
+
+    def test_query_string_is_dropped_from_the_path(self):
+        buf = bytearray(b"GET /debug/traces?limit=3&x=y HTTP/1.1\r\n\r\n")
+        assert _parse_request(buf)[1] == "/debug/traces"
+
+    def test_partial_body_waits_and_keeps_the_buffer(self):
+        raw = b"POST /x HTTP/1.1\r\nContent-Length: 5\r\n\r\nabc"
+        buf = bytearray(raw)
+        assert _parse_request(buf) is None
+        assert buf == raw
+        buf += b"de"
+        assert _parse_request(buf)[3] == b"abcde"
+
+    def test_connection_tokens_are_case_insensitive(self):
+        http10 = bytearray(b"GET / HTTP/1.0\r\nConnection: Keep-Alive\r\n\r\n")
+        assert _parse_request(http10)[4] is True
+        http11 = bytearray(b"GET / HTTP/1.1\r\nConnection: CLOSE\r\n\r\n")
+        assert _parse_request(http11)[4] is False
+
+    def test_body_over_the_limit_is_413_before_it_arrives(self):
+        head = b"POST /x HTTP/1.1\r\nContent-Length: %d\r\n\r\n"
+        assert _parse_request(bytearray(head % MAX_BODY_BYTES)) is None
+        with pytest.raises(_BadRequest) as excinfo:
+            _parse_request(bytearray(head % (MAX_BODY_BYTES + 1)))
+        assert excinfo.value.status == 413
+
+    def test_head_at_the_limit_is_accepted(self):
+        """``MAX_HEADER_BYTES`` counts the head with its blank line; one
+        byte more is a 431."""
+        start = b"GET / HTTP/1.1\r\nX-Pad: "
+        pad = MAX_HEADER_BYTES - len(start) - len(b"\r\n\r\n")
+        head = start + b"a" * pad + b"\r\n\r\n"
+        assert len(head) == MAX_HEADER_BYTES
+        assert _parse_request(bytearray(head))[0] == "GET"
+        with pytest.raises(_BadRequest) as excinfo:
+            _parse_request(bytearray(start + b"a" * (pad + 1) + b"\r\n\r\n"))
+        assert excinfo.value.status == 431
+
+    def test_repeated_equal_content_length_is_one_length(self):
+        buf = bytearray(b"POST /x HTTP/1.1\r\nContent-Length: 3\r\n"
+                        b"Content-Length: 3\r\n\r\nabc")
+        assert _parse_request(buf)[3] == b"abc"
+
     def test_oversized_header_rejected(self):
         with pytest.raises(_BadRequest) as excinfo:
             _parse_request(bytearray(b"GET /" + b"a" * 40000))
         assert excinfo.value.status == 431
+        # Complete, too: the bound does not depend on how the head arrived.
+        complete = (b"GET / HTTP/1.1\r\nX-Big: " + b"a" * MAX_HEADER_BYTES
+                    + b"\r\n\r\n")
+        with pytest.raises(_BadRequest) as excinfo:
+            _parse_request(bytearray(complete))
+        assert excinfo.value.status == 431
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.lists(_requests(), min_size=1, max_size=4), st.data())
+    def test_chunked_feeding_pops_the_same_requests(self, requests, data):
+        """Pipelined well-formed requests pop the same tuples whether the
+        bytes arrive whole or split at arbitrary offsets."""
+        stream = b"".join(requests)
+        whole = _pop_all(bytearray(stream))
+        assert len(whole) == len(requests)
+        cuts = sorted(data.draw(st.lists(
+            st.integers(min_value=0, max_value=len(stream)), max_size=8)))
+        buf, popped = bytearray(), []
+        for start, end in zip([0, *cuts], [*cuts, len(stream)]):
+            buf += stream[start:end]
+            popped += _pop_all(buf)
+        assert popped == whole
+        assert not buf
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(_FRAGMENTS, max_size=24))
+    def test_arbitrary_bytes_pop_wait_or_reject(self, fragments):
+        """Any input pops requests, waits for more, or raises _BadRequest;
+        no other exception escapes the parser."""
+        buf = bytearray(b"".join(fragments))
+        try:
+            for request in _pop_all(buf):
+                assert len(request) == 5
+        except _BadRequest as error:
+            assert error.status in (400, 413, 431)
 
 
 class TestPredictPayloadValidation:
@@ -226,6 +380,31 @@ class TestHttpFraming:
         responses = _raw(server, b"GARBAGE\r\n\r\n")
         assert _status(responses[0]) == 400
         assert b"Connection: close" in responses[0]
+
+    @pytest.mark.parametrize("raw", [
+        b"POST /v1/predict HTTP/1.1\r\nContent-Length: 1_0\r\n\r\n",
+        b"POST /v1/predict HTTP/1.1\r\nContent-Length : 2\r\n\r\n",
+        b"POST /v1/predict HTTP/1.1\r\nTransfer-Encoding: gzip\r\n"
+        b"Content-Length: 2\r\n\r\n",
+    ])
+    def test_ambiguous_framing_is_400_and_closes(self, server, raw):
+        """The connection closes on the 400, so bytes after a head whose
+        framing was refused are never read as the next request."""
+        responses = _raw(server, raw + b"{}GET /healthz HTTP/1.1\r\n\r\n",
+                         reads=2)
+        assert len(responses) == 1
+        assert _status(responses[0]) == 400
+        assert b"Connection: close" in responses[0]
+
+    def test_complete_oversized_head_is_431(self, server):
+        responses = _raw(server, b"GET /healthz HTTP/1.1\r\nX-Big: "
+                         + b"a" * MAX_HEADER_BYTES + b"\r\n\r\n")
+        assert _status(responses[0]) == 431
+
+    def test_retired_alerts_endpoint_is_404(self, server):
+        responses = _raw(server, b"GET /alerts HTTP/1.1\r\n"
+                                 b"Connection: close\r\n\r\n")
+        assert _status(responses[0]) == 404
 
 
 class TestConnectionBounds:

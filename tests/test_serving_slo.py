@@ -35,7 +35,7 @@ from repro.serving import (
 )
 from repro.serving.metrics import LATENCY_BUCKETS, bucket_quantile
 from repro.serving.service import PredictRequest
-from repro.serving.slo import estimate_drain_seconds
+from repro.serving.slo import ModelBudget, estimate_drain_seconds
 
 
 # --------------------------------------------------------------------------- #
@@ -217,6 +217,103 @@ class TestAimdController:
             controller(increase_by=0)
         with pytest.raises(ValueError, match="min_batch_size"):
             controller(min_batch_size=10, max_batch_size=5)
+
+    def test_backoff_floors_a_fractional_row_budget(self):
+        router = FakeRouter(max_batch_size=7, max_latency=0.005)
+        metrics = FakeMetrics()
+        ctl = controller(router, metrics=metrics, target_p99=0.050)
+        metrics.observe("demo", 0.200, n=10)
+        assert ctl.tick()["demo"]["max_batch_size"] == 3   # int(7 * 0.5)
+        assert router.overrides["demo"][0] == 3
+
+    def test_a_new_model_starts_from_its_router_limits(self):
+        """The first window adjusts from the model's own limits (a per-model
+        override), not from the router-wide defaults."""
+        router = FakeRouter(max_batch_size=64, max_latency=0.004)
+        router.overrides["demo"] = (10, 0.002)
+        metrics = FakeMetrics()
+        ctl = controller(router, metrics=metrics, target_p99=0.050,
+                         increase_by=8)
+        metrics.observe("demo", 0.001, n=10)
+        ctl.tick()
+        size, latency = router.overrides["demo"]
+        assert size == 18
+        # The deadline recovers by a quarter of the router-wide base.
+        assert latency == pytest.approx(0.002 + 0.004 / 4)
+
+    def test_budgets_at_their_bounds_are_not_reconfigured(self):
+        router = FakeRouter(max_batch_size=64, max_latency=0.004)
+        metrics = FakeMetrics()
+        ctl = controller(router, metrics=metrics, target_p99=0.050,
+                         max_batch_size=64)
+        metrics.observe("fast", 0.001, n=10)   # grows past nothing
+        router.overrides["slow"] = (1, 0.0005)
+        metrics.observe("slow", 0.400, n=10)   # backs off below nothing
+        decisions = ctl.tick()
+        assert [decisions[label]["action"] for label in ("fast", "slow")] \
+            == ["grow", "backoff"]
+        assert router.calls == []
+        models = ctl.state()["models"]
+        assert models["fast"]["grown"] == models["slow"]["backed_off"] == 0
+        assert models["fast"]["windows_under_slo"] == 1
+        assert models["slow"]["windows_over_slo"] == 1
+
+    def test_decision_reports_the_window_it_judged(self):
+        router = FakeRouter(max_batch_size=64, max_latency=0.005)
+        metrics = FakeMetrics()
+        ctl = controller(router, metrics=metrics, target_p99=0.050)
+        metrics.observe("demo", 0.001, n=5)
+        ctl.tick()
+        metrics.observe("demo", 0.200, n=100)  # only these are the window
+        decision = ctl.tick()["demo"]
+        window = [0] * (len(LATENCY_BUCKETS) + 1)
+        window[bisect.bisect_left(LATENCY_BUCKETS, 0.200)] = 100
+        p99 = bucket_quantile(LATENCY_BUCKETS, window, 0.99,
+                              overflow_value=0.200)
+        assert decision == {"action": "backoff", "p99": p99, "requests": 100,
+                            "max_batch_size": 36, "max_latency": 0.0025}
+        state = ctl.state()["models"]["demo"]
+        assert state["last_window_p99_ms"] == pytest.approx(p99 * 1e3)
+        assert state["last_window_requests"] == 100
+
+    def test_every_tick_counts_even_without_traffic(self):
+        ctl = controller(target_p99=0.050)
+        for _ in range(3):
+            assert ctl.tick() == {}
+        state = ctl.state()
+        assert state["ticks"] == 3
+        assert state["models"] == {}
+
+    def test_model_state_is_the_aimd_audit_trail(self):
+        """``/stats`` → ``slo.models.<label>`` carries the budgets and the
+        window tallies; perfbench reads ``max_batch_size`` from it."""
+        metrics = FakeMetrics()
+        ctl = controller(metrics=metrics, target_p99=0.050)
+        metrics.observe("demo", 0.001, n=10)
+        ctl.tick()
+        assert set(ctl.state()["models"]["demo"]) == {
+            "max_batch_size", "max_latency_seconds", "last_window_p99_ms",
+            "last_window_requests", "windows_under_slo", "windows_over_slo",
+            "grown", "backed_off", "slo_attainment"}
+
+    def test_idle_model_attains_the_slo(self):
+        assert ModelBudget(max_batch_size=8, max_latency=0.005) \
+            .slo_attainment == 1.0
+
+    def test_start_is_idempotent_and_the_loop_ticks(self):
+        ctl = controller(target_p99=0.050, interval=0.005)
+        assert ctl.start() is ctl
+        thread = ctl._thread
+        try:
+            assert ctl.start()._thread is thread
+            deadline = time.monotonic() + 5.0
+            while ctl.ticks < 2:
+                assert time.monotonic() < deadline, "the loop never ticked"
+                time.sleep(0.005)
+        finally:
+            ctl.close()
+        assert not thread.is_alive()
+        assert ctl.last_error is None
 
     def test_background_loop_ticks_and_survives_errors(self):
         class ExplodingMetrics:
@@ -490,92 +587,3 @@ class TestBucketQuantile:
         counts = [0, 100, 0, 0]  # uniform inside (1, 2]
         p50 = bucket_quantile(bounds, counts, 0.50)
         assert 1.0 < p50 <= 2.0
-
-
-# --------------------------------------------------------------------------- #
-# SLO error-budget accounting (burn rate, budget gauges, /metrics series)
-# --------------------------------------------------------------------------- #
-class TestErrorBudget:
-    def _controller(self, *, objective=0.9, budget_window=100.0,
-                    target_p99=0.050):
-        from repro.serving.metrics import ServingMetrics
-
-        self.now = [0.0]
-        router = FakeRouter()
-        metrics = ServingMetrics()
-        ctl = SloController(router, target_p99=target_p99, metrics=metrics,
-                            objective=objective, budget_window=budget_window,
-                            clock=lambda: self.now[0])
-        return ctl, metrics
-
-    def _observe(self, metrics, label, seconds, n):
-        hist = metrics.model(label).latency
-        for _ in range(n):
-            hist.observe(seconds)
-
-    def test_good_bad_split_burn_and_remaining(self):
-        # Objective 90% under 50ms -> budget 10%.  100 requests, 20 over
-        # target: error rate 0.20, burn 2x, budget consumed 2x (overspent).
-        ctl, metrics = self._controller(objective=0.9)
-        self._observe(metrics, "m", 0.001, 80)
-        self._observe(metrics, "m", 0.200, 20)
-        ctl.tick()
-        state = ctl.state()["models"]["m"]
-        assert state["good_requests"] == 80
-        assert state["bad_requests"] == 20
-        assert state["burn_rate"] == pytest.approx(2.0)
-        assert state["error_budget_consumed"] == pytest.approx(2.0)
-        assert state["error_budget_remaining"] == pytest.approx(-1.0)
-
-    def test_counters_accumulate_and_ride_metrics_registry(self):
-        ctl, metrics = self._controller(objective=0.9)
-        self._observe(metrics, "m", 0.001, 50)
-        ctl.tick()
-        self.now[0] = 10.0
-        self._observe(metrics, "m", 0.200, 50)
-        ctl.tick()
-        families = {name: (kind, dict(
-            (tuple(sorted(labels.items())), value)
-            for labels, value in entries))
-            for name, kind, _help, entries in metrics.external_families()}
-        good_kind, good = families["repro_slo_good_requests_total"]
-        bad_kind, bad = families["repro_slo_bad_requests_total"]
-        assert good_kind == bad_kind == "counter"
-        key = (("model", "m"),)
-        assert good[key] == 50.0
-        assert bad[key] == 50.0
-        assert families["repro_slo_target_p99_seconds"][1][()] == 0.050
-        assert families["repro_slo_objective_ratio"][1][()] == 0.9
-        remaining = families["repro_slo_error_budget_remaining_ratio"][1][key]
-        # 100 requests in the window, 50 bad, 10% allowance -> 5x consumed.
-        assert remaining == pytest.approx(1.0 - 5.0)
-
-    def test_budget_window_rolls_off_old_spend(self):
-        ctl, metrics = self._controller(objective=0.9, budget_window=100.0)
-        self._observe(metrics, "m", 0.200, 100)  # all bad at t=0
-        ctl.tick()
-        assert ctl.state()["models"]["m"]["burn_rate"] == pytest.approx(10.0)
-        # 200s later the spike has aged out of the window; a clean window
-        # restores the full budget even though cumulative counters remember.
-        self.now[0] = 200.0
-        self._observe(metrics, "m", 0.001, 100)
-        ctl.tick()
-        state = ctl.state()["models"]["m"]
-        assert state["burn_rate"] == pytest.approx(0.0)
-        assert state["error_budget_remaining"] == pytest.approx(1.0)
-        assert state["bad_requests"] == 100  # cumulative history intact
-
-    def test_idle_windows_do_not_charge_the_budget(self):
-        ctl, metrics = self._controller()
-        self._observe(metrics, "m", 0.001, 10)
-        ctl.tick()
-        ctl.tick()  # idle window
-        state = ctl.state()["models"]["m"]
-        assert state["good_requests"] == 10
-        assert state["error_budget_remaining"] == pytest.approx(1.0)
-
-    def test_objective_validation(self):
-        with pytest.raises(ValueError, match="objective"):
-            controller(objective=1.5)
-        with pytest.raises(ValueError, match="budget_window"):
-            controller(budget_window=0.0)
