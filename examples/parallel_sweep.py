@@ -14,9 +14,9 @@ serial run, typically several times faster.  Three layers stack up:
   ``SweepSolver`` pass -- the convex solves run against the shared feature
   matrix with warm starts (the epsilon_i minimiser initialises
   epsilon_{i+1}) and all models are scored through one shared inference
-  feature matrix.  Results agree with the per-cell reference path (kept
-  behind ``repro sweep --serial-cells`` / ``FigureCellRunner(fast_sweep=
-  False)``) to within solver tolerance;
+  feature matrix.  Results agree with the per-cell reference path
+  (``FigureCellRunner(...)(cell)``, which every non-GCON or single-cell
+  group runs) to within solver tolerance;
 * **the content-addressed preparation store**: set the
   ``REPRO_PREPARATION_CACHE`` environment variable (or pass
   ``--preparation-cache DIR``) to a directory and every fitted encoder plus

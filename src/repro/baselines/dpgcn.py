@@ -29,6 +29,7 @@ from repro.graphs.graph import GraphDataset
 from repro.nn import Tensor
 from repro.privacy.accountant import BudgetLedger
 from repro.utils.random import as_rng, spawn_rngs
+from repro.utils.validation import check_positive
 
 
 def lapgraph_perturb(adjacency: sp.spmatrix, epsilon: float, count_fraction: float = 0.1,
@@ -40,8 +41,7 @@ def lapgraph_perturb(adjacency: sp.spmatrix, epsilon: float, count_fraction: flo
     """
     if not 0.0 < count_fraction < 1.0:
         raise ConfigurationError(f"count_fraction must be in (0, 1), got {count_fraction}")
-    if epsilon <= 0:
-        raise ConfigurationError(f"epsilon must be > 0, got {epsilon}")
+    check_positive(epsilon, "epsilon")
     rng = as_rng(rng)
     dense = np.asarray(sp.csr_matrix(adjacency).todense(), dtype=np.float64)
     n = dense.shape[0]
@@ -72,8 +72,7 @@ class DPGCN(BaseNodeClassifier):
                  hidden_dim: int = 32, epochs: int = 200, learning_rate: float = 0.01,
                  weight_decay: float = 5e-4, dropout: float = 0.3,
                  count_fraction: float = 0.1):
-        if epsilon <= 0:
-            raise ConfigurationError(f"epsilon must be > 0, got {epsilon}")
+        check_positive(epsilon, "epsilon")
         self.epsilon = epsilon
         self.delta = delta
         self.hidden_dim = hidden_dim

@@ -19,7 +19,6 @@ calibrated by bisection to meet the requested (epsilon, delta).
 from __future__ import annotations
 
 import numpy as np
-import scipy.sparse as sp
 
 from repro.baselines.base import BaseNodeClassifier, resolve_delta
 from repro.exceptions import ConfigurationError
@@ -29,6 +28,7 @@ from repro.privacy.accountant import RdpAccountant
 from repro.privacy.rdp import calibrate_gaussian_noise_rdp
 from repro.utils.math import one_hot, row_normalize_l2, softmax
 from repro.utils.random import as_rng, spawn_rngs
+from repro.utils.validation import check_positive
 
 
 class DPSGDGCN(BaseNodeClassifier):
@@ -39,8 +39,7 @@ class DPSGDGCN(BaseNodeClassifier):
     def __init__(self, epsilon: float = 1.0, delta: float | None = None,
                  clipping_norm: float = 1.0, steps: int = 100, batch_size: int = 64,
                  learning_rate: float = 0.1, hops: int = 1):
-        if epsilon <= 0:
-            raise ConfigurationError(f"epsilon must be > 0, got {epsilon}")
+        check_positive(epsilon, "epsilon")
         if clipping_norm <= 0:
             raise ConfigurationError(f"clipping_norm must be > 0, got {clipping_norm}")
         if steps < 1 or batch_size < 1:

@@ -30,6 +30,7 @@ from repro.privacy.accountant import RdpAccountant
 from repro.privacy.rdp import DEFAULT_ORDERS, rdp_gaussian, rdp_to_dp
 from repro.utils.math import row_normalize_l2
 from repro.utils.random import as_rng, spawn_rngs
+from repro.utils.validation import check_positive
 
 #: Edge-level L2 sensitivity of one sum-aggregation round over unit-norm rows.
 EDGE_AGGREGATION_SENSITIVITY = float(np.sqrt(2.0))
@@ -38,7 +39,8 @@ EDGE_AGGREGATION_SENSITIVITY = float(np.sqrt(2.0))
 def calibrate_hop_sigma(epsilon: float, delta: float, hops: int,
                         sensitivity: float = EDGE_AGGREGATION_SENSITIVITY) -> float:
     """Smallest per-hop Gaussian sigma whose ``hops``-fold RDP composition fits the budget."""
-    if epsilon <= 0 or not 0 < delta < 1:
+    check_positive(epsilon, "epsilon", error=PrivacyBudgetError)
+    if not 0 < delta < 1:
         raise PrivacyBudgetError("invalid (epsilon, delta) for GAP calibration")
     if hops < 1:
         raise ConfigurationError(f"hops must be >= 1, got {hops}")
@@ -71,8 +73,7 @@ class GAP(BaseNodeClassifier):
                  encoder_dim: int = 16, hidden_dim: int = 64, epochs: int = 200,
                  learning_rate: float = 0.01, weight_decay: float = 1e-5,
                  dropout: float = 0.3):
-        if epsilon <= 0:
-            raise ConfigurationError(f"epsilon must be > 0, got {epsilon}")
+        check_positive(epsilon, "epsilon")
         if hops < 1:
             raise ConfigurationError(f"hops must be >= 1, got {hops}")
         self.epsilon = epsilon

@@ -21,6 +21,7 @@ from repro.nn import Dropout, Linear, ReLU, Sequential
 from repro.privacy.accountant import BudgetLedger
 from repro.privacy.mechanisms import laplace_mechanism
 from repro.utils.random import as_rng, spawn_rngs
+from repro.utils.validation import check_positive
 
 
 def cluster_degree_vectors(adjacency: sp.spmatrix, predicted_labels: np.ndarray,
@@ -47,8 +48,7 @@ class LPGNet(BaseNodeClassifier):
     def __init__(self, epsilon: float = 1.0, delta: float | None = None, stages: int = 2,
                  hidden_dim: int = 64, epochs: int = 200, learning_rate: float = 0.01,
                  weight_decay: float = 1e-5, dropout: float = 0.3):
-        if epsilon <= 0:
-            raise ConfigurationError(f"epsilon must be > 0, got {epsilon}")
+        check_positive(epsilon, "epsilon")
         if stages < 1:
             raise ConfigurationError(f"stages must be >= 1, got {stages}")
         self.epsilon = epsilon

@@ -23,6 +23,7 @@ from repro.nn import Dropout, Linear, ReLU, Sequential
 from repro.privacy.accountant import RdpAccountant
 from repro.utils.math import row_normalize_l2
 from repro.utils.random import as_rng, spawn_rngs
+from repro.utils.validation import check_positive
 
 
 class ProGAP(BaseNodeClassifier):
@@ -34,8 +35,7 @@ class ProGAP(BaseNodeClassifier):
                  encoder_dim: int = 16, hidden_dim: int = 64, epochs: int = 150,
                  learning_rate: float = 0.01, weight_decay: float = 1e-5,
                  dropout: float = 0.3):
-        if epsilon <= 0:
-            raise ConfigurationError(f"epsilon must be > 0, got {epsilon}")
+        check_positive(epsilon, "epsilon")
         if stages < 2:
             raise ConfigurationError(f"stages must be >= 2, got {stages}")
         self.epsilon = epsilon

@@ -72,9 +72,6 @@ def add_sweep_grid_arguments(parser: argparse.ArgumentParser) -> None:
                         help="training epochs of the non-convex baselines")
     parser.add_argument("--encoder-epochs", type=int, default=150, dest="encoder_epochs",
                         help="GCON public-encoder training epochs")
-    parser.add_argument("--serial-cells", action="store_true", dest="serial_cells",
-                        help="run every cell through the per-cell reference path "
-                             "instead of the vectorised epsilon-sweep solver")
 
 
 def add_dataset_arguments(parser: argparse.ArgumentParser) -> None:
@@ -155,5 +152,4 @@ def sweep_spec_from_args(args, methods: list[str]):
         epsilons=tuple(args.epsilons), repeats=args.repeats, seed=args.seed,
         scale=args.scale, delta=args.delta, epochs=args.epochs,
         encoder_epochs=args.encoder_epochs,
-        fast_sweep=not getattr(args, "serial_cells", False),
     )

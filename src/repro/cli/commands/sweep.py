@@ -57,7 +57,6 @@ def command_sweep(args) -> int:
     store = JsonlResultStore(args.output) if args.output else None
     engine = ParallelExperimentRunner(
         FigureCellRunner(settings=settings, delta=args.delta,
-                         fast_sweep=not args.serial_cells,
                          preparation_cache=args.preparation_cache),
         jobs=args.jobs, store=store, progress=not args.quiet,
         resume_context=dict(settings.resume_context(), delta=args.delta),

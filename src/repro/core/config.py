@@ -6,6 +6,7 @@ import math
 from dataclasses import dataclass, field
 
 from repro.exceptions import ConfigurationError
+from repro.utils.validation import check_positive
 
 
 def _normalize_step(step) -> float:
@@ -97,8 +98,7 @@ class GCONConfig:
     normalized_steps: tuple = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
-        if self.epsilon <= 0:
-            raise ConfigurationError(f"epsilon must be > 0, got {self.epsilon}")
+        check_positive(self.epsilon, "epsilon")
         if self.delta is not None and not 0.0 <= self.delta < 1.0:
             raise ConfigurationError(f"delta must be in [0, 1), got {self.delta}")
         if not 0.0 < self.alpha <= 1.0:
@@ -110,10 +110,8 @@ class GCONConfig:
             raise ConfigurationError(
                 f"loss must be 'soft_margin' or 'pseudo_huber', got {self.loss!r}"
             )
-        if self.huber_delta <= 0:
-            raise ConfigurationError(f"huber_delta must be > 0, got {self.huber_delta}")
-        if self.lambda_reg <= 0:
-            raise ConfigurationError(f"lambda_reg must be > 0, got {self.lambda_reg}")
+        check_positive(self.huber_delta, "huber_delta")
+        check_positive(self.lambda_reg, "lambda_reg")
         if not 0.0 < self.omega < 1.0:
             raise ConfigurationError(f"omega must be in (0, 1), got {self.omega}")
         if self.encoder_dim < 1:
@@ -128,8 +126,7 @@ class GCONConfig:
             raise ConfigurationError(
                 f"pseudo_label_mode must be 'all' or 'balanced', got {self.pseudo_label_mode!r}"
             )
-        if self.xi <= 0:
-            raise ConfigurationError(f"xi must be > 0, got {self.xi}")
+        check_positive(self.xi, "xi")
         if self.max_iterations < 1:
             raise ConfigurationError(f"max_iterations must be >= 1, got {self.max_iterations}")
 

@@ -17,7 +17,6 @@ from __future__ import annotations
 
 import hashlib
 import math
-import os
 from contextlib import contextmanager
 
 import numpy as np
@@ -145,15 +144,12 @@ class PropagationCache:
 
 
 _DEFAULT_CACHE = PropagationCache()
-# Caching is engine-scoped by default: the sweep workers (and anything else
+# Caching is engine-scoped: the sweep workers (and anything else
 # that opts in via `propagation_cache(...)`) activate it around their fits,
 # while a standalone `GCON.fit` keeps the original propagate-and-forget
 # behaviour -- no global retention of LU factorisations or feature matrices
-# in single-model library use.  Set REPRO_PROPAGATION_CACHE=1 to enable the
-# shared cache process-wide.
-_ACTIVE_CACHE: PropagationCache | None = (
-    _DEFAULT_CACHE if os.environ.get("REPRO_PROPAGATION_CACHE", "0") == "1" else None
-)
+# in single-model library use.
+_ACTIVE_CACHE: PropagationCache | None = None
 
 
 def get_default_cache() -> PropagationCache:

@@ -7,9 +7,10 @@ sweep therefore minimises a *family* of strongly convex objectives that share
 one feature matrix and differ only in the Theorem-1 perturbation term.
 :class:`SweepSolver` exploits both facts:
 
-* the preparation is computed (or fetched from a content-addressed
-  :class:`~repro.core.persistence.PreparationStore`) once per
-  ``(config, graph, seed)`` and shared across every budget;
+* the preparation is computed once per ``(config, graph, seed)``, or
+  passed in (the sweep workers fetch it from a content-addressed
+  :class:`~repro.core.persistence.PreparationStore` when one is
+  configured), and shared across every budget;
 * the convex solves run against the shared feature matrix either
   sequentially with warm starts (the epsilon_i minimiser initialises
   epsilon_{i+1}; the noise direction is shared across budgets, so adjacent
@@ -81,34 +82,21 @@ class SweepSolver:
         (:class:`~repro.core.objective.BatchedPerturbedObjective`);
         ``"serial"`` runs independent cold solves — the reference path,
         bitwise identical to calling :meth:`GCON.fit` per epsilon.
-    method:
-        Convex solver passed through to :func:`minimize_objective`
-        (ignored by ``"batched"``, which is L-BFGS only).
-    store:
-        Optional :class:`~repro.core.persistence.PreparationStore`; when set,
-        :meth:`prepare` fetches/persists the epsilon-independent preparation
-        by content address, so repeated or resumed sweeps skip encoder
-        training and propagation entirely.
     """
 
-    def __init__(self, config: GCONConfig, *, strategy: str = "warm_start",
-                 method: str = "lbfgs", store=None):
+    def __init__(self, config: GCONConfig, *, strategy: str = "warm_start"):
         if strategy not in SWEEP_STRATEGIES:
             raise ConfigurationError(
                 f"strategy must be one of {SWEEP_STRATEGIES}, got {strategy!r}"
             )
         self.config = config
         self.strategy = strategy
-        self.method = method
-        self.store = store
 
     # ------------------------------------------------------------------ #
     # preparation
     # ------------------------------------------------------------------ #
     def prepare(self, graph: GraphDataset, seed: int | None = None) -> PreparedInputs:
-        """The epsilon-independent preparation, through the store when present."""
-        if self.store is not None:
-            return self.store.get_or_prepare(GCON(self.config), graph, seed)
+        """The epsilon-independent preparation (Lines 1-7 of Algorithm 1)."""
         return GCON(self.config).prepare(graph, seed=seed)
 
     # ------------------------------------------------------------------ #
@@ -178,7 +166,7 @@ class SweepSolver:
             )
         else:
             results = solve_objective_sweep(
-                objectives, method=self.method,
+                objectives,
                 max_iterations=self.config.max_iterations, gtol=self.config.gtol,
                 warm_start=self.strategy == "warm_start",
             )

@@ -33,7 +33,7 @@ from repro.exceptions import ConfigurationError
 from repro.runtime.cells import SweepCell, expand_cells
 from repro.runtime.engine import context_digest
 
-SPEC_FORMAT_VERSION = 1
+SPEC_FORMAT_VERSION = 2
 
 
 def _encode_epsilon(value: float) -> float | str:
@@ -42,6 +42,32 @@ def _encode_epsilon(value: float) -> float | str:
 
 def _decode_epsilon(value) -> float:
     return math.inf if value == "inf" else float(value)
+
+
+def _integer(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def _number(value) -> bool:
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
+def _strings(value) -> bool:
+    return isinstance(value, list) and all(isinstance(item, str) for item in value)
+
+
+# The JSON value each spec field must hold; from_json rejects any other.
+_FIELD_CHECKS = {
+    "methods": _strings, "datasets": _strings,
+    "epsilons": lambda value: isinstance(value, list) and all(
+        _number(eps) or eps == "inf" for eps in value),
+    "repeats": _integer, "seed": _integer, "scale": _number,
+    "delta": lambda value: value is None or _number(value),
+    "epochs": _integer, "encoder_epochs": _integer, "encoder_dim": _integer,
+    "encoder_hidden": _integer, "lambda_reg": _number,
+    "use_pseudo_labels": lambda value: isinstance(value, bool),
+    "inference_mode": lambda value: isinstance(value, str),
+}
 
 
 @dataclass(frozen=True)
@@ -62,8 +88,6 @@ class SweepSpec:
     lambda_reg: float = 0.2
     use_pseudo_labels: bool = True
     inference_mode: str = "private"
-    fast_sweep: bool = True
-    sweep_strategy: str = "warm_start"
 
     def __post_init__(self):
         object.__setattr__(self, "methods", tuple(self.methods))
@@ -74,9 +98,8 @@ class SweepSpec:
             raise ConfigurationError(f"repeats must be >= 1, got {self.repeats}")
 
     @classmethod
-    def from_settings(cls, settings, methods, *, delta: float | None = None,
-                      fast_sweep: bool = True,
-                      sweep_strategy: str = "warm_start") -> "SweepSpec":
+    def from_settings(cls, settings, methods, *,
+                      delta: float | None = None) -> "SweepSpec":
         """Build a spec from a :class:`FigureSettings` (benchmarks, examples)."""
         if getattr(settings, "extra_gcon", None):
             raise ConfigurationError(
@@ -91,7 +114,6 @@ class SweepSpec:
             encoder_hidden=settings.encoder_hidden,
             lambda_reg=settings.lambda_reg,
             use_pseudo_labels=settings.use_pseudo_labels,
-            fast_sweep=fast_sweep, sweep_strategy=sweep_strategy,
         )
 
     # ------------------------------------------------------------------ #
@@ -121,9 +143,7 @@ class SweepSpec:
 
         return FigureCellRunner(
             settings=self.settings(), inference_mode=self.inference_mode,
-            delta=self.delta, fast_sweep=self.fast_sweep,
-            sweep_strategy=self.sweep_strategy,
-            preparation_cache=preparation_cache,
+            delta=self.delta, preparation_cache=preparation_cache,
         )
 
     # ------------------------------------------------------------------ #
@@ -158,12 +178,32 @@ class SweepSpec:
 
     @classmethod
     def from_json(cls, text: str) -> "SweepSpec":
-        payload = json.loads(text)
+        """Parse :meth:`to_json` output; a spec of another format, or one
+        that is not a JSON object of exactly this format's fields, each of
+        its JSON type, raises :class:`ConfigurationError`."""
+        try:
+            payload = json.loads(text)
+        except ValueError as error:
+            raise ConfigurationError(f"sweep spec is not valid JSON: {error}") from None
+        if not isinstance(payload, dict):
+            raise ConfigurationError(
+                f"sweep spec must be a JSON object, got {type(payload).__name__}")
         version = payload.pop("format", SPEC_FORMAT_VERSION)
         if version != SPEC_FORMAT_VERSION:
             raise ConfigurationError(
                 f"unsupported sweep spec format {version} "
                 f"(expected {SPEC_FORMAT_VERSION})")
+        names = [spec_field.name for spec_field in dataclasses.fields(cls)]
+        unknown = sorted(set(payload) - set(names))
+        if unknown:
+            raise ConfigurationError(f"unknown sweep spec fields: {', '.join(unknown)}")
+        missing = sorted(set(names) - set(payload))
+        if missing:
+            raise ConfigurationError(f"missing sweep spec fields: {', '.join(missing)}")
+        ill_typed = [name for name in names if not _FIELD_CHECKS[name](payload[name])]
+        if ill_typed:
+            raise ConfigurationError(
+                f"ill-typed sweep spec fields: {', '.join(ill_typed)}")
         payload["epsilons"] = [_decode_epsilon(eps) for eps in payload["epsilons"]]
         return cls(**payload)
 

@@ -7,8 +7,9 @@ it cooperatively:
 1. **claim**: walk the pending groups and take the first claimable lease
    (unleased, or expired and stolen — see :mod:`repro.distributed.lease`);
 2. **execute**: rebuild the cell runner from the queue's spec and run the
-   group through the same ``run_group`` protocol as the single-machine
-   engine — a GCON epsilon axis takes the vectorised
+   group under the single-machine engine's dispatch rule
+   (:func:`~repro.runtime.engine.group_dispatch`) — a GCON epsilon axis
+   takes the vectorised
    :class:`~repro.core.sweep.SweepSolver` fast path, everything else runs
    cell by cell with a heartbeat between cells;
 3. **publish**: results stream into a private work-in-progress JSONL shard,
@@ -39,7 +40,7 @@ from repro.distributed.lease import LeaseManager
 from repro.distributed.queue import GroupTask, WorkQueue
 from repro.obs.trace import get_tracer
 from repro.runtime.cells import result_key
-from repro.runtime.engine import run_cell_group
+from repro.runtime.engine import group_dispatch, run_cell_group
 from repro.runtime.store import JsonlResultStore
 
 
@@ -252,7 +253,7 @@ class DistributedWorker:
         pump = _HeartbeatPump(self.leases, lease)
         try:
             with pump, tracer.span("group.run"):
-                if self._group_dispatch(runner, cells):
+                if group_dispatch(runner, cells):
                     records = run_cell_group(runner, cells)
                     self._append(store, cells, records, context)
                 else:
@@ -329,16 +330,6 @@ class DistributedWorker:
             self._log(f"{group_id} was already published by another worker")
             return False
         return True
-
-    @staticmethod
-    def _group_dispatch(runner, cells) -> bool:
-        """Same policy as the engine: whole-group only when the runner would
-        actually take its fast path, so the per-cell path keeps streaming
-        results (and heartbeats) between cells."""
-        if getattr(runner, "run_group", None) is None:
-            return False
-        wants_group = getattr(runner, "wants_group", None)
-        return True if wants_group is None else bool(wants_group(cells))
 
     def _append(self, store: JsonlResultStore, cells, records,
                 context: str) -> None:

@@ -52,14 +52,10 @@ class FigureSettings:
     epsilons: tuple = (0.5, 1.0, 2.0, 3.0, 4.0)
     jobs: int = 1
     extra_gcon: dict = field(default_factory=dict)
-    # Execution knobs, never part of resume_context.  ``fast_sweep`` toggles
-    # the epsilon-axis sweep-solver path: results agree with the per-cell
-    # reference path up to convex-solver tolerance (set ``fast_sweep=False``
-    # to force the bitwise reference).  ``preparation_cache`` points at an
-    # on-disk content-addressed preparation store directory (defaults to the
-    # REPRO_PREPARATION_CACHE environment variable when None); cache hits are
-    # bitwise identical to cold preparation.
-    fast_sweep: bool = True
+    # An execution knob, never part of resume_context: ``preparation_cache``
+    # points at an on-disk content-addressed preparation store directory
+    # (defaults to the REPRO_PREPARATION_CACHE environment variable when
+    # None); cache hits are bitwise identical to cold preparation.
     preparation_cache: str | None = None
 
     def resume_context(self) -> dict:
@@ -150,7 +146,7 @@ def figure1_accuracy_vs_epsilon(settings: FigureSettings | None = None,
     method_names = methods if methods is not None else list(build_method_registry(settings))
     cells = expand_cells(method_names, settings.datasets, settings.epsilons,
                          settings.repeats, seed=settings.seed)
-    runner = FigureCellRunner(settings=settings, fast_sweep=settings.fast_sweep,
+    runner = FigureCellRunner(settings=settings,
                               preparation_cache=settings.preparation_cache)
     engine = ParallelExperimentRunner(runner,
                                       jobs=settings.jobs, store=store,
@@ -182,7 +178,6 @@ def figure23_propagation_step(settings: FigureSettings | None = None,
     runner = GconVariantCellRunner(settings=settings, overrides=overrides,
                                    axis="steps", fixed_epsilon=epsilon,
                                    inference_mode=inference_mode,
-                                   fast_sweep=settings.fast_sweep,
                                    preparation_cache=settings.preparation_cache)
     engine = ParallelExperimentRunner(runner, jobs=settings.jobs)
     return series_from_results(engine.run(cells))
@@ -208,7 +203,6 @@ def figure4_restart_probability(settings: FigureSettings | None = None,
                          seed=settings.seed)
     runner = GconVariantCellRunner(settings=settings, overrides=overrides,
                                    axis="epsilon", inference_mode="private",
-                                   fast_sweep=settings.fast_sweep,
                                    preparation_cache=settings.preparation_cache)
     engine = ParallelExperimentRunner(runner, jobs=settings.jobs)
     return series_from_results(engine.run(cells))

@@ -36,7 +36,7 @@ on its branch.  ``choice`` without ``p`` is ``integers(0, k, size=...)``.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 

@@ -5,6 +5,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from repro.exceptions import PrivacyBudgetError
+from repro.utils.validation import check_positive
 
 
 @dataclass(frozen=True)
@@ -19,8 +20,7 @@ class PrivacySpec:
     delta: float
 
     def __post_init__(self) -> None:
-        if self.epsilon <= 0:
-            raise PrivacyBudgetError(f"epsilon must be > 0, got {self.epsilon}")
+        check_positive(self.epsilon, "epsilon", error=PrivacyBudgetError)
         if not 0.0 <= self.delta < 1.0:
             raise PrivacyBudgetError(f"delta must be in [0, 1), got {self.delta}")
 

@@ -50,8 +50,8 @@ class SweepCell:
     ``index`` is the cell's position in the canonical (serial) expansion
     order and fixes the ordering of the result list; ``group`` identifies the
     ``(dataset, method, repeat)`` bucket whose cells share a seed under
-    ``seed_axis="repeat"`` -- the engine keeps a group on one worker so the
-    per-process preparation cache can actually hit.
+    ``seed_axis="repeat"`` -- the engine keeps a group on one worker so its
+    epsilon axis can share one preparation.
     """
 
     index: int

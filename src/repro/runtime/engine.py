@@ -11,8 +11,8 @@ function or a dataclass such as
 Determinism: every cell carries its own seed, so the schedule cannot leak
 into the numbers -- a ``--jobs 8`` run is bitwise identical to ``--jobs 1``.
 Cells sharing a ``(dataset, method, repeat)`` group (same seed, different
-epsilon) are dispatched as one task so they land on one worker and can reuse
-that worker's preparation/propagation caches.
+epsilon) are dispatched as one task so they land on one worker, where a GCON
+epsilon axis shares one preparation and every cell the propagation cache.
 
 Resumability: pass a :class:`~repro.runtime.store.JsonlResultStore`; finished
 cells are streamed to disk as they complete and already-recorded cells are
@@ -69,6 +69,21 @@ def run_cell_group(cell_runner, cells: list[SweepCell]) -> list[ExperimentResult
     if run_group is not None:
         return run_group(cells)
     return [cell_runner(cell) for cell in cells]
+
+
+def group_dispatch(cell_runner, cells: list[SweepCell]) -> bool:
+    """Whether a group goes to the runner's ``run_group`` whole.
+
+    A sweep-solved group inherently completes all at once, but a group the
+    runner would only run cell by cell (``wants_group`` returns False) is
+    better run per cell by the caller: each finished cell then streams to
+    the store immediately, preserving crash-resume granularity.  The serial
+    engine and the distributed worker both follow this rule.
+    """
+    if getattr(cell_runner, "run_group", None) is None:
+        return False
+    wants_group = getattr(cell_runner, "wants_group", None)
+    return True if wants_group is None else bool(wants_group(cells))
 
 
 # The cell runner is shipped once per worker through the pool initializer
@@ -187,22 +202,9 @@ class ParallelExperimentRunner:
             reporter.update(advance=len(cells),
                             note=f"{last.method}/{last.dataset}")
 
-    def _group_dispatch(self, cells: list[SweepCell]) -> bool:
-        """Whether a group goes to the runner's ``run_group`` whole.
-
-        A sweep-solved group inherently completes all at once, but a group the
-        runner would only fall back on cell by cell (``wants_group`` returns
-        False) is better run per cell in serial mode: each finished cell then
-        streams to the store immediately, preserving crash-resume granularity.
-        """
-        if getattr(self.cell_runner, "run_group", None) is None:
-            return False
-        wants_group = getattr(self.cell_runner, "wants_group", None)
-        return True if wants_group is None else bool(wants_group(cells))
-
     def _run_serial(self, groups, finished, reporter) -> None:
         for group_cells in groups:
-            if self._group_dispatch(group_cells):
+            if group_dispatch(self.cell_runner, group_cells):
                 try:
                     records = run_cell_group(self.cell_runner, group_cells)
                 except Exception as error:

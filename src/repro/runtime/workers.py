@@ -3,26 +3,25 @@
 A cell runner is the unit of work the engine ships to a process pool, so it
 must be picklable and cheap to serialise: these dataclasses carry only the
 :class:`~repro.evaluation.figures.FigureSettings` plus a few scalars, and
-rebuild graphs/method registries inside the worker process.  Per-process
-memoisation keeps that rebuild cost amortised:
+rebuild graphs/method registries inside the worker process, where graphs are
+loaded once per ``(dataset, scale, seed)``.
 
-* graphs are loaded once per ``(dataset, scale, seed)``;
-* for estimators exposing the ``prepare``/``fit(prepared=...)`` protocol
-  (GCON), the epsilon-independent preparation -- encoder training plus
-  propagation -- is computed once per ``(graph, cell seed, preparation key)``
-  and replayed across the epsilon axis; when a content-addressed
-  :class:`~repro.core.persistence.PreparationStore` is configured (the
-  ``preparation_cache`` field or the ``REPRO_PREPARATION_CACHE`` environment
-  variable) it also survives on disk across repeats and resumed sweeps.
+Both runners implement the engine's *group protocol* (``wants_group`` and
+``run_group``).  A GCON group along the epsilon axis with two or more cells
+is solved in one vectorised :class:`~repro.core.sweep.SweepSolver` pass: one
+epsilon-independent preparation (encoder training plus propagation, Lines
+1-7 of Algorithm 1), warm-started convex solves and one shared inference
+feature matrix, instead of one cold fit per cell.  Every other group
+(non-GCON methods, single cells, step-axis groups) runs cell by cell through
+``runner(cell)``, the reference path the fast path agrees with up to solver
+tolerance.
 
-Both runners additionally implement the engine's *group protocol*
-(``run_group``): a whole epsilon axis of GCON cells is solved in one
-vectorised :class:`~repro.core.sweep.SweepSolver` pass — shared preparation,
-warm-started convex solves, one shared inference feature matrix — instead of
-one cold fit per cell.  Groups the fast path cannot take (non-GCON methods,
-per-cell configuration differences beyond epsilon, ``fast_sweep=False``)
-fall back to the per-cell reference path; results agree with that reference
-up to solver tolerance, and bitwise when the fallback runs.
+When a content-addressed :class:`~repro.core.persistence.PreparationStore`
+is configured (the ``preparation_cache`` field or the
+``REPRO_PREPARATION_CACHE`` environment variable), GCON preparations are
+fetched from and persisted to it, so repeats and resumed sweeps skip encoder
+training and propagation; a store hit is bitwise identical to a cold
+preparation.
 
 All evaluation-layer imports are deferred to call time to keep the module
 import graph acyclic (``figures`` imports this module).
@@ -36,19 +35,19 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from repro.core.model import GCON
 from repro.core.propagation import get_default_cache, propagation_cache
+from repro.core.sweep import SweepSolver
 from repro.runtime.cells import ExperimentResult, SweepCell, epsilon_axis
 from repro.utils.lru import LRUDict
 
 _GRAPH_MEMO = LRUDict(max_entries=8)
-_PREP_MEMO = LRUDict(max_entries=8)
 _DISK_STORES: dict[str, object] = {}
 
 
 def clear_worker_memos() -> None:
-    """Drop the per-process graph and preparation memos (used by tests)."""
+    """Drop the per-process graph memo and preparation stores (used by tests)."""
     _GRAPH_MEMO.clear()
-    _PREP_MEMO.clear()
     _DISK_STORES.clear()
 
 
@@ -67,7 +66,7 @@ def preparation_store(path: str | None = None):
     Stores are memoised per root so their hit/miss counters accumulate across
     the cells a worker executes.
     """
-    from repro.core.persistence import PREPARATION_CACHE_ENV, PreparationStore
+    from repro.core.persistence import PreparationStore
 
     if path is not None and path.strip():
         resolved = PreparationStore(path.strip())
@@ -83,40 +82,14 @@ def preparation_store(path: str | None = None):
     return store
 
 
-def _prepared_inputs(estimator, graph, seed: int, graph_memo_key: tuple,
+def _prepared_inputs(estimator: GCON, graph, seed: int,
                      preparation_cache: str | None = None):
-    """The epsilon-independent preparation for ``estimator`` on ``graph``.
-
-    Looks through the per-process memo first, then the on-disk store (when
-    configured), and falls back to a cold ``prepare``; returns ``None`` for
-    estimators without the ``prepare`` protocol.
-    """
-    config = getattr(estimator, "config", None)
-    preparation_key = getattr(config, "preparation_key", None)
-    if not (hasattr(estimator, "prepare") and callable(preparation_key)):
-        return None
-
-    def compute():
-        store = preparation_store(preparation_cache)
-        if store is not None:
-            return store.get_or_prepare(estimator, graph, seed)
+    """The epsilon-independent preparation of ``estimator`` on ``graph``:
+    from the on-disk store when one is configured, else a cold ``prepare``."""
+    store = preparation_store(preparation_cache)
+    if store is None:
         return estimator.prepare(graph, seed=seed)
-
-    memo_key = (graph_memo_key, seed, preparation_key())
-    return _PREP_MEMO.get_or_compute(memo_key, compute)
-
-
-def _fit_with_preparation(estimator, graph, cell: SweepCell, graph_memo_key: tuple,
-                          preparation_cache: str | None = None):
-    """Fit, reusing the epsilon-independent preparation when the estimator
-    supports it (results are bitwise identical either way)."""
-    prepared = _prepared_inputs(estimator, graph, cell.seed, graph_memo_key,
-                                preparation_cache)
-    if prepared is not None:
-        estimator.fit(graph, seed=cell.seed, prepared=prepared)
-    else:
-        estimator.fit(graph, seed=cell.seed)
-    return estimator
+    return store.get_or_prepare(estimator, graph, seed)
 
 
 def score_estimator(estimator, graph, inference_mode: str) -> float:
@@ -152,43 +125,30 @@ def _shared_inference_features(model, graph, inference_mode: str) -> np.ndarray:
     return model.inference_features(graph, mode=inference_mode)
 
 
-def _run_epsilon_sweep_group(cells: list[SweepCell], graph, estimators,
-                             inference_mode: str, strategy: str,
-                             graph_memo_key: tuple,
-                             preparation_cache: str | None) -> list[float] | None:
-    """Solve one epsilon axis of GCON cells in a single sweep pass.
-
-    Returns the per-cell micro-F1 scores, or ``None`` when the group is not
-    eligible (non-GCON estimators, or configurations that differ in more than
-    epsilon) and must take the per-cell reference path.
-    """
-    from repro.core.model import GCON
-    from repro.core.sweep import SweepSolver
-
-    if len(cells) < 2:
-        return None
+def _one_sweep_family(estimators) -> bool:
+    """Whether ``estimators`` are GCON models whose configurations differ in
+    epsilon only, so one preparation and one sweep solve serve them all."""
     if not all(isinstance(estimator, GCON) for estimator in estimators):
-        return None
-    base_config = estimators[0].config
-    base_identity = _config_identity(base_config)
-    if any(_config_identity(estimator.config) != base_identity
-           for estimator in estimators[1:]):
-        return None
+        return False
+    base_identity = _config_identity(estimators[0].config)
+    return all(_config_identity(estimator.config) == base_identity
+               for estimator in estimators[1:])
 
-    epsilons = epsilon_axis(cells)
-    seed = cells[0].seed
-    prepared = _prepared_inputs(estimators[0], graph, seed, graph_memo_key,
-                                preparation_cache)
-    solver = SweepSolver(base_config, strategy=strategy)
-    solves = solver.solve(graph, epsilons, seed=seed, prepared=prepared)
+
+def _run_epsilon_sweep_group(cells: list[SweepCell], graph, estimators, prepared,
+                             inference_mode: str) -> list[float]:
+    """Solve one epsilon axis of GCON cells against ``prepared`` in a single
+    sweep pass and return the per-cell micro-F1 scores."""
+    from repro.evaluation.metrics import micro_f1
+
+    solves = SweepSolver(estimators[0].config).solve(
+        graph, epsilon_axis(cells), seed=cells[0].seed, prepared=prepared)
     for estimator, solve in zip(estimators, solves):
         estimator.adopt_solution(
             theta=solve.theta, perturbation=solve.perturbation,
             solver_result=solve.solver_result, encoder=prepared.encoder,
             num_classes=graph.num_classes, graph=graph,
         )
-    from repro.evaluation.metrics import micro_f1
-
     features = _shared_inference_features(estimators[0], graph, inference_mode)
     test_idx = graph.test_idx
     scores = []
@@ -198,89 +158,93 @@ def _run_epsilon_sweep_group(cells: list[SweepCell], graph, estimators,
     return scores
 
 
+def _result(cell: SweepCell, score: float) -> ExperimentResult:
+    return ExperimentResult(method=cell.method, dataset=cell.dataset,
+                            epsilon=cell.epsilon, repeat=cell.repeat,
+                            micro_f1=score)
+
+
 @dataclass
-class FigureCellRunner:
-    """Runs one Figure-1-style cell: a registry method at one epsilon.
+class _CellRunner:
+    """The per-cell path and the group protocol both runners share.
 
     ``settings`` is the shared :class:`FigureSettings`; ``delta=None`` uses
-    the paper's per-graph ``1/|E|`` convention.  ``fast_sweep`` enables the
-    epsilon-axis group fast path (``False`` forces the per-cell reference
-    path); ``sweep_strategy`` picks the :class:`SweepSolver` mode and
-    ``preparation_cache`` points at an on-disk preparation store directory.
+    the paper's per-graph ``1/|E|`` convention and ``preparation_cache``
+    points at an on-disk preparation store directory.  A subclass says how a
+    cell's estimator is built (``_build_estimator(cell, delta)``) and which
+    groups it sweep-solves (``wants_group(cells)``).
     """
 
     settings: "FigureSettings"
     inference_mode: str = "private"
     delta: float | None = None
-    fast_sweep: bool = True
-    sweep_strategy: str = "warm_start"
     preparation_cache: str | None = None
 
     def _graph_and_delta(self, cell: SweepCell):
         settings = self.settings
         graph = _load_graph(cell.dataset, settings.scale, settings.seed)
         delta = self.delta if self.delta is not None else 1.0 / max(graph.num_edges, 1)
-        return graph, delta, (cell.dataset, settings.scale, settings.seed)
+        return graph, delta
 
     def __call__(self, cell: SweepCell) -> ExperimentResult:
+        """The per-cell reference path: one fit and one scoring pass."""
+        graph, delta = self._graph_and_delta(cell)
+        estimator = self._build_estimator(cell, delta)
+        store = preparation_store(self.preparation_cache)
+        with propagation_cache(get_default_cache()):
+            if store is not None and isinstance(estimator, GCON):
+                prepared = store.get_or_prepare(estimator, graph, cell.seed)
+                estimator.fit(graph, seed=cell.seed, prepared=prepared)
+            else:
+                estimator.fit(graph, seed=cell.seed)
+            score = score_estimator(estimator, graph, self.inference_mode)
+        return _result(cell, score)
+
+    def run_group(self, cells: list[SweepCell]) -> list[ExperimentResult]:
+        """Sweep-solve a group :meth:`wants_group` takes; run others per cell."""
+        if not self.wants_group(cells):
+            return [self(cell) for cell in cells]
+        graph, delta = self._graph_and_delta(cells[0])
+        estimators = [self._build_estimator(cell, delta) for cell in cells]
+        if not _one_sweep_family(estimators):
+            return [self(cell) for cell in cells]
+        with propagation_cache(get_default_cache()):
+            prepared = _prepared_inputs(estimators[0], graph, cells[0].seed,
+                                        self.preparation_cache)
+            scores = _run_epsilon_sweep_group(cells, graph, estimators, prepared,
+                                              self.inference_mode)
+        return [_result(cell, score) for cell, score in zip(cells, scores)]
+
+
+@dataclass
+class FigureCellRunner(_CellRunner):
+    """Runs one Figure-1-style cell: a registry method at one epsilon."""
+
+    def _build_estimator(self, cell: SweepCell, delta: float):
         from repro.evaluation.figures import build_method_registry
 
-        graph, delta, memo_key = self._graph_and_delta(cell)
-        registry = build_method_registry(self.settings)
-        estimator = registry[cell.method](cell.epsilon, delta, cell.seed)
-        with propagation_cache(get_default_cache()):
-            _fit_with_preparation(estimator, graph, cell, memo_key,
-                                  self.preparation_cache)
-            score = score_estimator(estimator, graph, self.inference_mode)
-        return ExperimentResult(method=cell.method, dataset=cell.dataset,
-                                epsilon=cell.epsilon, repeat=cell.repeat,
-                                micro_f1=score)
+        factory = build_method_registry(self.settings)[cell.method]
+        return factory(cell.epsilon, delta, cell.seed)
 
     def wants_group(self, cells: list[SweepCell]) -> bool:
-        """Whether this group would actually take the sweep fast path.
+        """Whether this group takes the sweep fast path: a GCON method with
+        two or more epsilons.
 
-        The serial engine asks before dispatching: groups that would only
-        fall back cell by cell (non-GCON methods, single cells, disabled
-        fast path) run per cell instead, so each finished cell streams to
-        the resumable store immediately.
+        The engine asks before dispatching: other groups run per cell, so
+        each finished cell streams to the resumable store immediately.
         """
-        from repro.core.model import GCON
-        from repro.evaluation.figures import build_method_registry
-
-        if not self.fast_sweep or len(cells) < 2:
+        if len(cells) < 2:
             return False
         try:
-            factory = build_method_registry(self.settings)[cells[0].method]
-            probe = factory(cells[0].epsilon,
-                            self.delta if self.delta is not None else 1e-6,
-                            cells[0].seed)
+            probe = self._build_estimator(
+                cells[0], self.delta if self.delta is not None else 1e-6)
         except Exception:
             return False
         return isinstance(probe, GCON)
 
-    def run_group(self, cells: list[SweepCell]) -> list[ExperimentResult]:
-        """One epsilon axis at a time: sweep-solve eligible GCON groups."""
-        from repro.evaluation.figures import build_method_registry
-
-        if not self.fast_sweep or len(cells) < 2:
-            return [self(cell) for cell in cells]
-        graph, delta, memo_key = self._graph_and_delta(cells[0])
-        factory = build_method_registry(self.settings)[cells[0].method]
-        estimators = [factory(cell.epsilon, delta, cell.seed) for cell in cells]
-        with propagation_cache(get_default_cache()):
-            scores = _run_epsilon_sweep_group(
-                cells, graph, estimators, self.inference_mode,
-                self.sweep_strategy, memo_key, self.preparation_cache)
-        if scores is None:
-            return [self(cell) for cell in cells]
-        return [ExperimentResult(method=cell.method, dataset=cell.dataset,
-                                 epsilon=cell.epsilon, repeat=cell.repeat,
-                                 micro_f1=score)
-                for cell, score in zip(cells, scores)]
-
 
 @dataclass
-class GconVariantCellRunner:
+class GconVariantCellRunner(_CellRunner):
     """Runs GCON-configuration sweeps (Figures 2-4): one named variant per
     "method", with the cell's float axis interpreted per ``axis``.
 
@@ -295,18 +259,11 @@ class GconVariantCellRunner:
     per cell, so they always run the per-cell reference path.
     """
 
-    settings: "FigureSettings"
     overrides: dict = field(default_factory=dict)
     axis: str = "epsilon"
     fixed_epsilon: float = 4.0
-    inference_mode: str = "private"
-    delta: float | None = None
-    fast_sweep: bool = True
-    sweep_strategy: str = "warm_start"
-    preparation_cache: str | None = None
 
     def _build_estimator(self, cell: SweepCell, delta: float):
-        from repro.core.model import GCON
         from repro.evaluation.figures import default_gcon_config
 
         overrides = dict(self.overrides.get(cell.method, {}))
@@ -318,42 +275,8 @@ class GconVariantCellRunner:
             epsilon = cell.epsilon
         return GCON(default_gcon_config(epsilon, delta, self.settings, **overrides))
 
-    def _graph_and_delta(self, cell: SweepCell):
-        settings = self.settings
-        graph = _load_graph(cell.dataset, settings.scale, settings.seed)
-        delta = self.delta if self.delta is not None else 1.0 / max(graph.num_edges, 1)
-        return graph, delta, (cell.dataset, settings.scale, settings.seed)
-
-    def __call__(self, cell: SweepCell) -> ExperimentResult:
-        graph, delta, memo_key = self._graph_and_delta(cell)
-        estimator = self._build_estimator(cell, delta)
-        with propagation_cache(get_default_cache()):
-            _fit_with_preparation(estimator, graph, cell, memo_key,
-                                  self.preparation_cache)
-            score = score_estimator(estimator, graph, self.inference_mode)
-        return ExperimentResult(method=cell.method, dataset=cell.dataset,
-                                epsilon=cell.epsilon, repeat=cell.repeat,
-                                micro_f1=score)
-
     def wants_group(self, cells: list[SweepCell]) -> bool:
-        """Epsilon-axis variant groups take the fast path; step-axis groups
-        (whose preparation varies per cell) run cell by cell in serial mode
-        so each result streams to the store immediately."""
-        return self.fast_sweep and self.axis == "epsilon" and len(cells) >= 2
-
-    def run_group(self, cells: list[SweepCell]) -> list[ExperimentResult]:
-        """Sweep-solve epsilon-axis variant groups; step-axis groups fall back."""
-        if not self.fast_sweep or self.axis != "epsilon" or len(cells) < 2:
-            return [self(cell) for cell in cells]
-        graph, delta, memo_key = self._graph_and_delta(cells[0])
-        estimators = [self._build_estimator(cell, delta) for cell in cells]
-        with propagation_cache(get_default_cache()):
-            scores = _run_epsilon_sweep_group(
-                cells, graph, estimators, self.inference_mode,
-                self.sweep_strategy, memo_key, self.preparation_cache)
-        if scores is None:
-            return [self(cell) for cell in cells]
-        return [ExperimentResult(method=cell.method, dataset=cell.dataset,
-                                 epsilon=cell.epsilon, repeat=cell.repeat,
-                                 micro_f1=score)
-                for cell, score in zip(cells, scores)]
+        """Epsilon-axis variant groups of two or more cells take the fast
+        path; step-axis groups (whose preparation varies per cell) run cell
+        by cell so each result streams to the store immediately."""
+        return self.axis == "epsilon" and len(cells) >= 2

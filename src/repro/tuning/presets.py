@@ -8,6 +8,7 @@ from repro.core.config import GCONConfig
 from repro.core.model import GCON
 from repro.exceptions import ConfigurationError
 from repro.tuning.space import Categorical, SearchSpace
+from repro.utils.validation import check_positive
 
 
 def gcon_search_space(dataset: str = "cora_ml") -> SearchSpace:
@@ -52,8 +53,7 @@ def make_gcon_factory(epsilon: float, delta: float | None = None, **fixed):
     :class:`~repro.core.model.GCON`; search parameters override the fixed
     settings.
     """
-    if epsilon <= 0:
-        raise ConfigurationError(f"epsilon must be > 0, got {epsilon}")
+    check_positive(epsilon, "epsilon")
 
     def factory(params: dict) -> GCON:
         settings = dict(fixed)

@@ -11,20 +11,22 @@ import numbers
 
 import numpy as np
 
-from repro.exceptions import ConfigurationError
+from repro.exceptions import ConfigurationError, ReproError
 
 
-def check_positive(value: float, name: str, *, strict: bool = True) -> float:
-    """Validate that ``value`` is a positive (or non-negative) finite number."""
+def check_positive(value: float, name: str, *, strict: bool = True,
+                   error: type[ReproError] = ConfigurationError) -> float:
+    """Validate that ``value`` is a positive (or non-negative) finite number;
+    raises ``error`` (a :class:`ConfigurationError` by default) otherwise."""
     if not isinstance(value, numbers.Real) or isinstance(value, bool):
-        raise ConfigurationError(f"{name} must be a real number, got {value!r}")
+        raise error(f"{name} must be a real number, got {value!r}")
     value = float(value)
     if not np.isfinite(value):
-        raise ConfigurationError(f"{name} must be finite, got {value!r}")
+        raise error(f"{name} must be finite, got {value!r}")
     if strict and value <= 0:
-        raise ConfigurationError(f"{name} must be > 0, got {value}")
+        raise error(f"{name} must be > 0, got {value}")
     if not strict and value < 0:
-        raise ConfigurationError(f"{name} must be >= 0, got {value}")
+        raise error(f"{name} must be >= 0, got {value}")
     return value
 
 

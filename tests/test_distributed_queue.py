@@ -65,7 +65,6 @@ class TestSweepSpec:
         assert base.digest() != _spec(seed=1).digest()
         assert base.digest() != _spec(scale=0.1).digest()
         assert base.digest() != _spec(epochs=10).digest()
-        assert base.digest() != _spec(fast_sweep=False).digest()
 
     def test_context_digest_matches_engine_convention(self):
         # The fingerprint stamped by workers must equal what the local
@@ -89,6 +88,45 @@ class TestSweepSpec:
     def test_invalid_repeats_rejected(self):
         with pytest.raises(ConfigurationError):
             _spec(repeats=0)
+
+    @pytest.mark.parametrize("edit", [
+        lambda payload: [payload],
+        lambda payload: dict(payload, fast_sweep=True),
+        lambda payload: {k: v for k, v in payload.items() if k != "epochs"},
+        lambda payload: dict(payload, epsilons=5),
+    ], ids=["non-object", "unknown-field", "missing-field", "bad-value"])
+    def test_malformed_payload_raises_configuration_error(self, edit):
+        payload = json.loads(_spec().to_json())
+        with pytest.raises(ConfigurationError):
+            SweepSpec.from_json(json.dumps(edit(payload)))
+
+    @pytest.mark.parametrize("name, value", [
+        ("methods", "GCON"), ("datasets", ["d1", 2]), ("epsilons", ["x"]),
+        ("repeats", 1.5), ("seed", "7"), ("seed", True), ("scale", "0.25"),
+        ("delta", "1e-6"), ("epochs", None), ("lambda_reg", [0.2]),
+        ("use_pseudo_labels", 1), ("inference_mode", 0),
+    ])
+    def test_ill_typed_field_raises_configuration_error(self, name, value):
+        payload = dict(json.loads(_spec().to_json()), **{name: value})
+        with pytest.raises(ConfigurationError, match=f"ill-typed.*{name}"):
+            SweepSpec.from_json(json.dumps(payload))
+
+    def test_invalid_json_raises_configuration_error(self):
+        with pytest.raises(ConfigurationError, match="not valid JSON"):
+            SweepSpec.from_json("{")
+
+    def test_dist_status_exits_2_on_a_format_1_queue(self, tmp_path, capsys):
+        from repro.cli.main import main
+
+        queue = WorkQueue(tmp_path / "q")
+        queue.initialize(_spec())
+        payload = dict(json.loads(queue.spec_path.read_text(encoding="utf-8")),
+                       format=1, fast_sweep=True, sweep_strategy="warm_start")
+        queue.spec_path.write_text(json.dumps(payload), encoding="utf-8")
+        assert main(["dist", "status", "--dist-dir", str(queue.root)]) == 2
+        lines = capsys.readouterr().err.strip().splitlines()
+        assert len(lines) == 1
+        assert "format 1" in lines[0] and "expected 2" in lines[0]
 
 
 class TestWorkQueue:

@@ -7,8 +7,6 @@ the larger, more faithful versions.
 
 import math
 
-import pytest
-
 from repro.evaluation.figures import (
     FigureSettings,
     attack_auc_vs_epsilon,

@@ -1,7 +1,6 @@
 """Tests for synthetic generators, named dataset presets, splits, homophily and IO."""
 
 import dataclasses
-import math
 
 import numpy as np
 import pytest

@@ -247,18 +247,27 @@ class TestFigureCellRunnerIntegration:
         assert [r.micro_f1 for r in parallel] == [r.micro_f1 for r in serial]
         assert aggregate_results(parallel) == aggregate_results(serial)
 
-    def test_preparation_reused_across_epsilon_axis(self):
-        from repro.runtime import workers
+    def test_preparation_reused_across_epsilon_axis(self, monkeypatch):
+        from repro.core.model import GCON
         from repro.runtime.workers import FigureCellRunner, clear_worker_memos
 
+        calls = []
+        prepare = GCON.prepare
+
+        def counting_prepare(self, graph, seed=None):
+            calls.append(seed)
+            return prepare(self, graph, seed=seed)
+
+        monkeypatch.setattr(GCON, "prepare", counting_prepare)
         settings = self._settings()
         cells = expand_cells(["GCON"], settings.datasets, settings.epsilons,
-                             settings.repeats, seed=settings.seed)
+                             2, seed=settings.seed)
         clear_worker_memos()
         ParallelExperimentRunner(FigureCellRunner(settings=settings)).run(cells)
-        # Two epsilons, one (method, dataset, repeat) group: exactly one
-        # preparation (encoder + propagation) for the whole epsilon sweep.
-        assert len(workers._PREP_MEMO) == 1
+        # Two epsilons in each of two (method, dataset, repeat) groups:
+        # exactly one preparation (encoder + propagation) per epsilon axis.
+        assert sorted(calls) == sorted({cell.seed for cell in cells})
+        assert len(calls) == 2
 
 
 class TestResumeContext:

@@ -8,7 +8,8 @@ at three layers:
   random graphs — accuracies bitwise identical or within 1e-10 (the
   ``"serial"`` strategy must be *bitwise* identical, parameters included);
 * the engine's group fast path (:meth:`FigureCellRunner.run_group`) against
-  the per-cell reference path across methods x datasets x epsilons;
+  the per-cell reference path (``runner(cell)``) across methods x datasets x
+  epsilons;
 * the :class:`GconVariantCellRunner` epsilon-axis fast path against its
   per-cell reference.
 """
@@ -144,6 +145,17 @@ class TestSweepSolverAgainstSerialFit:
             SweepSolver(base_config()).solve(small_random_graph(3), [])
 
 
+class PerCell:
+    """Hides a runner's group protocol: the engine then runs every cell
+    through ``runner(cell)``, the per-cell reference path."""
+
+    def __init__(self, runner):
+        self.runner = runner
+
+    def __call__(self, cell):
+        return self.runner(cell)
+
+
 class TestEngineFastPathEquivalence:
     """The engine's group dispatch produces the per-cell reference numbers."""
 
@@ -168,24 +180,12 @@ class TestEngineFastPathEquivalence:
         settings = self._settings()
         cells = expand_cells(["GCON", "MLP"], settings.datasets, settings.epsilons,
                              settings.repeats, seed=settings.seed)
-        reference = self._run(FigureCellRunner(settings=settings, fast_sweep=False),
-                              cells)
-        fast = self._run(FigureCellRunner(settings=settings), cells)
+        runner = FigureCellRunner(settings=settings)
+        reference = self._run(PerCell(runner), cells)
+        fast = self._run(runner, cells)
         for ref, got in zip(reference, fast):
             assert (ref.method, ref.dataset, ref.epsilon, ref.repeat) \
                 == (got.method, got.dataset, got.epsilon, got.repeat)
-            assert abs(ref.micro_f1 - got.micro_f1) <= ACCURACY_TOL
-
-    @pytest.mark.parametrize("strategy", ["warm_start", "batched"])
-    def test_sweep_strategies_match_reference(self, strategy):
-        settings = self._settings(repeats=1)
-        cells = expand_cells(["GCON"], settings.datasets, settings.epsilons,
-                             settings.repeats, seed=settings.seed)
-        reference = self._run(FigureCellRunner(settings=settings, fast_sweep=False),
-                              cells)
-        fast = self._run(
-            FigureCellRunner(settings=settings, sweep_strategy=strategy), cells)
-        for ref, got in zip(reference, fast):
             assert abs(ref.micro_f1 - got.micro_f1) <= ACCURACY_TOL
 
     def test_variant_runner_epsilon_axis_matches_reference(self):
@@ -193,12 +193,10 @@ class TestEngineFastPathEquivalence:
         overrides = {"alpha=0.4": {"alpha": 0.4}, "alpha=0.8": {"alpha": 0.8}}
         cells = expand_cells(list(overrides), settings.datasets, settings.epsilons,
                              settings.repeats, seed=settings.seed)
-        reference = self._run(
-            GconVariantCellRunner(settings=settings, overrides=overrides,
-                                  axis="epsilon", fast_sweep=False), cells)
-        fast = self._run(
-            GconVariantCellRunner(settings=settings, overrides=overrides,
-                                  axis="epsilon"), cells)
+        runner = GconVariantCellRunner(settings=settings, overrides=overrides,
+                                       axis="epsilon")
+        reference = self._run(PerCell(runner), cells)
+        fast = self._run(runner, cells)
         for ref, got in zip(reference, fast):
             assert abs(ref.micro_f1 - got.micro_f1) <= ACCURACY_TOL
 
@@ -209,14 +207,14 @@ class TestEngineFastPathEquivalence:
         overrides = {"alpha=0.8": {"alpha": 0.8}}
         cells = expand_cells(list(overrides), settings.datasets, (1.0, 2.0),
                              settings.repeats, seed=settings.seed)
-        reference = self._run(
-            GconVariantCellRunner(settings=settings, overrides=overrides,
-                                  axis="steps", fast_sweep=False), cells)
-        fast = self._run(
-            GconVariantCellRunner(settings=settings, overrides=overrides,
-                                  axis="steps"), cells)
-        for ref, got in zip(reference, fast):
-            assert ref.micro_f1 == got.micro_f1
+        runner = GconVariantCellRunner(settings=settings, overrides=overrides,
+                                       axis="steps")
+        assert not runner.wants_group(cells)
+        reference = self._run(PerCell(runner), cells)
+        fast = self._run(runner, cells)
+        direct = runner.run_group(cells)
+        for ref, got, declined in zip(reference, fast, direct):
+            assert ref.micro_f1 == got.micro_f1 == declined.micro_f1
 
     def test_serial_fallback_groups_stream_per_cell(self, tmp_path):
         """Groups the fast path declines (here: MLP) must stream each finished
@@ -260,8 +258,7 @@ class TestEngineFastPathEquivalence:
         cells = expand_cells(["GCON"], settings.datasets, settings.epsilons,
                              settings.repeats, seed=settings.seed)
         path = tmp_path / "resume.jsonl"
-        reference = self._run(FigureCellRunner(settings=settings, fast_sweep=False),
-                              cells)
+        reference = self._run(PerCell(FigureCellRunner(settings=settings)), cells)
 
         # First pass: persist only the two middle epsilon cells.
         store = JsonlResultStore(path)
@@ -276,3 +273,25 @@ class TestEngineFastPathEquivalence:
         assert len(resumed) == len(reference)
         for ref, got in zip(reference, resumed):
             assert abs(ref.micro_f1 - got.micro_f1) <= ACCURACY_TOL
+
+    @pytest.mark.parametrize("epsilons", [(0.5, 2.0), (1.0,)],
+                             ids=["swept-group", "single-cell"])
+    def test_preparation_store_miss_and_hit_match_storeless_run(
+            self, tmp_path, epsilons):
+        """With a preparation store, a sweep gives the store-less numbers
+        bitwise, both when it fills the store (a miss) and when a fresh
+        worker reads it back (a hit).  A swept GCON group goes through
+        ``run_group``, a single-epsilon cell through ``runner(cell)``."""
+        from repro.runtime.workers import preparation_store
+
+        settings = self._settings(repeats=1, epsilons=epsilons)
+        cells = expand_cells(["GCON"], settings.datasets, settings.epsilons,
+                             settings.repeats, seed=settings.seed)
+        reference = self._run(FigureCellRunner(settings=settings), cells)
+        cache = str(tmp_path / "prep")
+        runner = FigureCellRunner(settings=settings, preparation_cache=cache)
+        for expected_stats in ({"hits": 0, "misses": 1}, {"hits": 1, "misses": 0}):
+            got = self._run(runner, cells)
+            assert preparation_store(cache).stats == expected_stats
+            assert [(r.epsilon, r.micro_f1) for r in got] \
+                == [(r.epsilon, r.micro_f1) for r in reference]
