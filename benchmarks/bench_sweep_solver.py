@@ -45,18 +45,21 @@ from repro.runtime.workers import (
 )
 
 EPSILONS = (0.25, 0.5, 0.75, 1.0, 1.5, 2.0, 3.0, 4.0)
-REPEATS = 2
-TIMING_ROUNDS = 3
+REPEATS = 8
+TIMING_ROUNDS = 7
 
 
-def _timed_best_of(run, rounds=TIMING_ROUNDS):
-    """Best-of-N wall clock of ``run()``; a first, untimed call warms it up."""
-    results = run()
-    best = float("inf")
+def _timed_best_of(runs: dict, rounds=TIMING_ROUNDS):
+    """Best-of-N wall clock of each ``runs[name]()``; a first, untimed call
+    of each warms it up.  The runs take turns round by round, so a stretch
+    of machine load slows every side alike instead of one side's rounds."""
+    results = {name: run() for name, run in runs.items()}
+    best = dict.fromkeys(runs, float("inf"))
     for _ in range(rounds):
-        start = time.perf_counter()
-        results = run()
-        best = min(best, time.perf_counter() - start)
+        for name, run in runs.items():
+            start = time.perf_counter()
+            results[name] = run()
+            best[name] = min(best[name], time.perf_counter() - start)
     return results, best
 
 
@@ -114,20 +117,21 @@ def _cold_engine_run(settings, cells, preparation_cache):
 def _run(settings, cells, prep_cache_dir):
     runner = FigureCellRunner(settings=settings)
     prepared = _prepared_groups(runner, cells)
-    per_cell, per_cell_seconds = _timed_best_of(lambda: _per_cell(runner, prepared))
-    fast, fast_seconds = _timed_best_of(lambda: _sweep_solved(runner, prepared))
+    timed, seconds = _timed_best_of({
+        "per_cell": lambda: _per_cell(runner, prepared),
+        "fast": lambda: _sweep_solved(runner, prepared),
+    })
 
     cache = str(prep_cache_dir)
     filled, filled_seconds = _cold_engine_run(settings, cells, cache)
     resumed, resumed_seconds = _cold_engine_run(settings, cells, cache)
 
     return {
-        "per_cell": per_cell,
-        "fast": fast,
+        **timed,
         "filled": filled,
         "resumed": resumed,
-        "per_cell_seconds": per_cell_seconds,
-        "fast_seconds": fast_seconds,
+        "per_cell_seconds": seconds["per_cell"],
+        "fast_seconds": seconds["fast"],
         "filled_seconds": filled_seconds,
         "resumed_seconds": resumed_seconds,
     }

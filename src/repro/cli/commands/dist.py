@@ -63,11 +63,12 @@ def command_dist_status(args) -> int:
     coordinator = Coordinator(args.dist_dir)
     try:
         spec = coordinator.spec()
+        status = coordinator.status()
     except ConfigurationError as error:
         print(f"status failed: {error}", file=sys.stderr)
         return 2
     print(f"spec {spec.digest()[:12]}: {spec.describe()}")
-    print(coordinator.status().summary())
+    print(status.summary())
     return 0
 
 

@@ -52,6 +52,15 @@ def _features_fingerprint(features: np.ndarray) -> str:
     return digest.hexdigest()
 
 
+def _checked_steps(steps):
+    """A propagation step count as an ``int``, or ``math.inf``."""
+    if steps == math.inf:
+        return math.inf
+    if not float(steps).is_integer() or steps < 0:
+        raise ConfigurationError(f"steps must be a non-negative integer or inf, got {steps}")
+    return int(steps)
+
+
 class PropagationCache:
     """Memoizes the per-graph propagation artefacts across experiment cells.
 
@@ -107,25 +116,44 @@ class PropagationCache:
         self._solvers.put(key, solver)
         return solver
 
-    def propagated_features(self, graph_key: str, alpha: float, steps: float,
-                            features: np.ndarray, compute):
-        """Return ``Z_m`` from cache, calling ``compute()`` on a miss."""
-        key = (graph_key, float(alpha), steps, _features_fingerprint(features))
-        cached = self._features.get_or_none(key)
-        if cached is not None:
-            self.stats["features"]["hits"] += 1
-            return cached.copy()
-        self.stats["features"]["misses"] += 1
-        result = compute()
-        self._features.put(key, result)
-        return result.copy()
+    def propagated_features(self, graph_key: str, alpha: float, steps,
+                            features: np.ndarray, compute) -> dict:
+        """Return ``{m: Z_m}`` for each distinct ``m`` of ``steps``.
+
+        Each ``Z_m`` is its own ``(graph, alpha, m, X)`` entry.  The misses
+        are computed by one ``compute(missing_steps)`` call, which returns
+        ``{m: Z_m}`` for exactly those steps.
+        """
+        fingerprint = _features_fingerprint(features)
+        blocks, missing = {}, []
+        for step in steps:
+            cached = self._features.get_or_none(
+                (graph_key, float(alpha), step, fingerprint))
+            if cached is None:
+                self.stats["features"]["misses"] += 1
+                missing.append(step)
+            else:
+                self.stats["features"]["hits"] += 1
+                blocks[step] = cached.copy()
+        if missing:
+            for step, result in compute(missing).items():
+                self._features.put((graph_key, float(alpha), step, fingerprint),
+                                   result)
+                blocks[step] = result.copy()
+        return blocks
 
     # ------------------------------------------------------------------ #
     # convenience
     # ------------------------------------------------------------------ #
-    def propagator(self, adjacency: sp.spmatrix, alpha: float) -> "Propagator":
-        """A :class:`Propagator` whose hot paths consult this cache."""
-        return Propagator(adjacency, alpha, cache=self)
+    def propagator(self, adjacency: sp.spmatrix, alpha: float,
+                   key: str | None = None) -> "Propagator":
+        """A :class:`Propagator` whose hot paths consult this cache.
+
+        ``key`` is the adjacency's :func:`graph_fingerprint` when the caller
+        already holds it (a graph store's epoch digest); otherwise the
+        adjacency is hashed here.
+        """
+        return Propagator(adjacency, alpha, cache=self, graph_key=key)
 
     def clear(self) -> None:
         self._transitions.clear()
@@ -180,13 +208,15 @@ class Propagator:
     """Computes PPR/APPR propagation of node features over a fixed graph."""
 
     def __init__(self, adjacency: sp.spmatrix, alpha: float,
-                 cache: PropagationCache | None = None):
+                 cache: PropagationCache | None = None,
+                 graph_key: str | None = None):
         if not 0.0 < alpha <= 1.0:
             raise ConfigurationError(f"alpha must be in (0, 1], got {alpha}")
         self.alpha = float(alpha)
         self.cache = cache
         if cache is not None:
-            self._graph_key, self.transition = cache.transition(adjacency)
+            self._graph_key, self.transition = cache.transition(adjacency,
+                                                                key=graph_key)
         else:
             self._graph_key = None
             self.transition = row_stochastic_normalize(adjacency, add_loops=True)
@@ -201,38 +231,69 @@ class Propagator:
 
         ``steps`` may be a non-negative integer or ``math.inf`` (PPR limit).
         """
+        return self._propagate_steps(features, [steps])[steps]
+
+    def propagate_concat(self, features: np.ndarray, steps_list) -> np.ndarray:
+        """Return the scaled concatenation ``Z`` of Eq. (11) over ``steps_list``."""
+        steps_list = list(steps_list)
+        if not steps_list:
+            raise ConfigurationError("steps_list must contain at least one entry")
+        blocks = self._propagate_steps(features, steps_list)
+        return (np.concatenate([blocks[steps] for steps in steps_list], axis=1)
+                / len(steps_list))
+
+    def _propagate_steps(self, features: np.ndarray, steps_list) -> dict:
+        """``{m: R_m X}`` for every distinct ``m`` of ``steps_list``."""
         features = np.asarray(features, dtype=np.float64)
         if features.shape[0] != self.num_nodes:
             raise ConfigurationError(
                 f"features have {features.shape[0]} rows but the graph has "
                 f"{self.num_nodes} nodes"
             )
-        if steps == 0:
-            return features.copy()
-        if steps == math.inf:
-            if self.cache is not None:
-                return self.cache.propagated_features(
-                    self._graph_key, self.alpha, math.inf, features,
-                    lambda: self._propagate_ppr(features),
-                )
-            return self._propagate_ppr(features)
-        if not float(steps).is_integer() or steps < 0:
-            raise ConfigurationError(f"steps must be a non-negative integer or inf, got {steps}")
-        steps = int(steps)
-        if self.cache is not None:
-            return self.cache.propagated_features(
-                self._graph_key, self.alpha, steps, features,
-                lambda: self._propagate_appr(features, steps),
-            )
-        return self._propagate_appr(features, steps)
+        wanted = sorted({_checked_steps(steps) for steps in steps_list})
+        blocks = {0: features.copy()} if wanted[0] == 0 else {}
+        positive = [m for m in wanted if m > 0]
+        if not positive:
+            return blocks
+        if self.cache is None:
+            blocks.update(self._propagate_positive(features, positive))
+        else:
+            blocks.update(self.cache.propagated_features(
+                self._graph_key, self.alpha, positive, features,
+                lambda missing: self._propagate_positive(features, missing)))
+        return blocks
 
-    def _propagate_appr(self, features: np.ndarray, steps: int) -> np.ndarray:
-        """Finite-step APPR via the recursion of Eq. (9)."""
+    def _propagate_positive(self, features: np.ndarray, steps) -> dict:
+        """``{m: R_m X}`` for sorted, distinct ``m > 0``, past any cache:
+        every finite ``m`` from one APPR recursion, ``∞`` from the LU solve."""
+        blocks = self._propagate_appr(features,
+                                      [m for m in steps if m != math.inf])
+        if steps[-1] == math.inf:
+            blocks[math.inf] = self._propagate_ppr(features)
+        return blocks
+
+    def _propagate_appr(self, features: np.ndarray, steps) -> dict:
+        """Finite-step APPR via the recursion of Eq. (9), ``{m: R_m X}`` for
+        every ``m`` of the sorted, distinct positive ``steps`` from one pass.
+
+        Each iterate is a fresh ``Ã @ agg`` scaled and shifted in place:
+        the same per-element multiply and add as ``(1-alpha) * (Ã @ agg) +
+        alpha * X``, so every block is bitwise equal to recursing for its
+        ``m`` alone.  The next iterate never writes into a kept one.
+        """
+        blocks = {}
+        if not steps:
+            return blocks
         decayed = 1.0 - self.alpha
-        aggregated = features.copy()
-        for _ in range(steps):
-            aggregated = decayed * (self.transition @ aggregated) + self.alpha * features
-        return aggregated
+        restart = self.alpha * features
+        aggregated = features
+        for step in range(1, steps[-1] + 1):
+            aggregated = self.transition @ aggregated
+            aggregated *= decayed
+            aggregated += restart
+            if step in steps:
+                blocks[step] = aggregated
+        return blocks
 
     def _propagate_ppr(self, features: np.ndarray) -> np.ndarray:
         """Exact personalised-PageRank limit via a sparse LU solve (Eq. 5)."""
@@ -247,14 +308,6 @@ class Propagator:
             self._ppr_solver = spla.splu(system.tocsc())
         solution = self._ppr_solver.solve(features)
         return self.alpha * solution
-
-    def propagate_concat(self, features: np.ndarray, steps_list) -> np.ndarray:
-        """Return the scaled concatenation ``Z`` of Eq. (11) over ``steps_list``."""
-        steps_list = list(steps_list)
-        if not steps_list:
-            raise ConfigurationError("steps_list must contain at least one entry")
-        blocks = [self.propagate(features, steps) for steps in steps_list]
-        return np.concatenate(blocks, axis=1) / len(blocks)
 
     # ------------------------------------------------------------------ #
     # explicit propagation matrices (small graphs / testing)
@@ -324,12 +377,14 @@ def incremental_inference_features(propagator: Propagator,
     A row-stochastic row ``Ã[i]`` depends on node i's own degree and
     neighbour set alone, so only the delta endpoints' operator rows change.
     Private inference (Eq. 16) applies that operator once, so exactly the
-    endpoint rows are recomputed.  Public APPR (Eq. 9) spreads the change
-    ``m-1`` hops and the PPR limit everywhere; on real graphs that reaches
-    most rows (70–77% of pubmed at m=4), where a restricted recursion is
-    slower than a whole one, so public blocks recompute every row.  They
-    call the uncached recursion: a features-cache entry per epoch would
-    never be read again.
+    endpoint rows are recomputed, once for every ``m > 0`` block.  Public
+    APPR (Eq. 9) spreads the change ``m-1`` hops and the PPR limit
+    everywhere; on real graphs that reaches most rows (70–77% of pubmed at
+    m=4), where a restricted recursion is slower than a whole one, so public
+    blocks recompute every row: every finite ``m`` of ``steps_list`` from
+    one shared APPR recursion, ``∞`` from the LU solve.  They bypass the
+    propagation cache's features layer: an entry per epoch would never be
+    read again.
     """
     steps_list = list(steps_list)
     if not steps_list:
@@ -361,37 +416,35 @@ def incremental_inference_features(propagator: Propagator,
             f"delta endpoints must be in [0, {num_nodes}), got "
             f"[{int(endpoints.min())}, {int(endpoints.max())}]")
 
-    touched = np.zeros(num_nodes, dtype=bool)
+    positive = sorted({_checked_steps(steps) for steps in steps_list} - {0})
+    if not positive:  # the identity block is X/s in every epoch
+        return new_features, np.array([], dtype=np.int64)
+    if mode == "private":
+        # Eq. 16 is single-hop for every m > 0: only the endpoint rows of R̂
+        # differ, and they are the same rows whatever the step count.  The
+        # operator rows are assembled directly — never the full n×n R̂ — so
+        # the cost is proportional to the touched set.  Bitwise safety:
+        # sparse addition canonicalises (sorts) column indices exactly like
+        # the full ``inference_matrix`` construction, so each row's matmul
+        # accumulation order matches the reference path.
+        if not 0.0 <= inference_alpha <= 1.0:
+            raise ConfigurationError(
+                f"inference_alpha must be in [0, 1], got {inference_alpha}")
+        rows = endpoints
+        eye_rows = sp.csr_matrix(
+            (np.ones(rows.size), (np.arange(rows.size), rows)),
+            shape=(rows.size, num_nodes))
+        operator_rows = ((1.0 - inference_alpha) * propagator.transition[rows]
+                         + inference_alpha * eye_rows)
+        block_rows = np.asarray(operator_rows @ encoded) / scale
+        blocks = dict.fromkeys(positive, block_rows)
+    else:
+        rows = slice(None)
+        blocks = {steps: block / scale for steps, block in
+                  propagator._propagate_positive(encoded, positive).items()}
     for block, steps in enumerate(steps_list):
-        start = block * width
-        if steps == 0:
-            continue  # the identity block is X/s in every epoch
-        if mode == "private":
-            # Eq. 16 is single-hop for every m > 0: only the endpoint rows
-            # of R̂ differ, whatever the step count.  The operator rows are
-            # assembled directly — never the full n×n R̂ — so the cost is
-            # proportional to the touched set.  Bitwise safety: sparse
-            # addition canonicalises (sorts) column indices exactly like
-            # the full ``inference_matrix`` construction, so each row's
-            # matmul accumulation order matches the reference path.
-            if not 0.0 <= inference_alpha <= 1.0:
-                raise ConfigurationError(
-                    f"inference_alpha must be in [0, 1], got "
-                    f"{inference_alpha}")
-            rows = endpoints
-            eye_rows = sp.csr_matrix(
-                (np.ones(rows.size),
-                 (np.arange(rows.size), rows)),
-                shape=(rows.size, num_nodes))
-            operator_rows = ((1.0 - inference_alpha)
-                             * propagator.transition[rows]
-                             + inference_alpha * eye_rows)
-            block_rows = np.asarray(operator_rows @ encoded)
-        else:
-            rows = slice(None)
-            block_rows = (propagator._propagate_ppr(encoded)
-                          if steps == math.inf
-                          else propagator._propagate_appr(encoded, int(steps)))
-        new_features[rows, start:start + width] = block_rows / scale
-        touched[rows] = True
+        if steps != 0:
+            new_features[rows, block * width:(block + 1) * width] = blocks[steps]
+    touched = np.zeros(num_nodes, dtype=bool)
+    touched[rows] = True
     return new_features, np.flatnonzero(touched)

@@ -37,12 +37,33 @@ import re
 from dataclasses import dataclass
 from pathlib import Path
 
-from repro.distributed.spec import SweepSpec
+from repro.distributed.spec import (
+    SweepSpec,
+    _decode_epsilon,
+    _integer,
+    _number,
+    check_fields,
+    decode_json_object,
+)
 from repro.exceptions import ConfigurationError
 from repro.runtime.cells import SweepCell
 from repro.utils.fs import atomic_write_text
 
 TASK_FORMAT_VERSION = 1
+
+# The JSON value each task field, and each of its cells' fields, must hold.
+_TASK_CHECKS = {
+    "group_id": lambda value: isinstance(value, str),
+    "spec_digest": lambda value: isinstance(value, str),
+    "cells": lambda value: isinstance(value, list) and all(
+        isinstance(cell, dict) for cell in value),
+}
+_CELL_CHECKS = {
+    "index": _integer, "method": lambda value: isinstance(value, str),
+    "dataset": lambda value: isinstance(value, str),
+    "epsilon": lambda value: _number(value) or value == "inf",
+    "repeat": _integer, "seed": _integer, "group": _integer,
+}
 
 
 def _slug(text: str) -> str:
@@ -78,21 +99,23 @@ class GroupTask:
 
     @classmethod
     def from_json(cls, text: str) -> "GroupTask":
-        payload = json.loads(text)
-        version = payload.get("format", TASK_FORMAT_VERSION)
+        """Parse :meth:`to_json` output; a task of another format, or one
+        that is not a JSON object of exactly this format's fields (and cells
+        of exactly theirs), each of its JSON type, raises
+        :class:`ConfigurationError`."""
+        payload = decode_json_object(text, "group task")
+        version = payload.pop("format", TASK_FORMAT_VERSION)
         if version != TASK_FORMAT_VERSION:
             raise ConfigurationError(f"unsupported task format {version}")
-        cells = tuple(SweepCell(
-            index=int(raw["index"]), method=str(raw["method"]),
-            dataset=str(raw["dataset"]),
-            epsilon=math.inf if raw["epsilon"] == "inf" else float(raw["epsilon"]),
-            repeat=int(raw["repeat"]), seed=int(raw["seed"]),
-            group=int(raw["group"]),
-        ) for raw in payload["cells"])
-        if not cells:
+        check_fields(payload, _TASK_CHECKS, "group task")
+        if not payload["cells"]:
             raise ConfigurationError("a group task must contain at least one cell")
-        return cls(group_id=str(payload["group_id"]),
-                   spec_digest=str(payload["spec_digest"]), cells=cells)
+        for raw in payload["cells"]:
+            check_fields(raw, _CELL_CHECKS, "group task cell")
+        cells = tuple(SweepCell(**dict(raw, epsilon=_decode_epsilon(raw["epsilon"])))
+                      for raw in payload["cells"])
+        return cls(group_id=payload["group_id"],
+                   spec_digest=payload["spec_digest"], cells=cells)
 
 
 def group_id_for(spec_digest: str, cells) -> str:

@@ -56,6 +56,33 @@ def _strings(value) -> bool:
     return isinstance(value, list) and all(isinstance(item, str) for item in value)
 
 
+def decode_json_object(text: str, what: str) -> dict:
+    """``text`` parsed as a JSON object; anything else raises
+    :class:`ConfigurationError` naming ``what`` was being read."""
+    try:
+        payload = json.loads(text)
+    except ValueError as error:
+        raise ConfigurationError(f"{what} is not valid JSON: {error}") from None
+    if not isinstance(payload, dict):
+        raise ConfigurationError(
+            f"{what} must be a JSON object, got {type(payload).__name__}")
+    return payload
+
+
+def check_fields(payload: dict, checks: dict, what: str) -> None:
+    """Raise :class:`ConfigurationError` unless ``payload`` holds exactly the
+    fields of ``checks``, each accepted by its check."""
+    unknown = sorted(set(payload) - set(checks))
+    if unknown:
+        raise ConfigurationError(f"unknown {what} fields: {', '.join(unknown)}")
+    missing = sorted(set(checks) - set(payload))
+    if missing:
+        raise ConfigurationError(f"missing {what} fields: {', '.join(missing)}")
+    ill_typed = [name for name, check in checks.items() if not check(payload[name])]
+    if ill_typed:
+        raise ConfigurationError(f"ill-typed {what} fields: {', '.join(ill_typed)}")
+
+
 # The JSON value each spec field must hold; from_json rejects any other.
 _FIELD_CHECKS = {
     "methods": _strings, "datasets": _strings,
@@ -181,29 +208,13 @@ class SweepSpec:
         """Parse :meth:`to_json` output; a spec of another format, or one
         that is not a JSON object of exactly this format's fields, each of
         its JSON type, raises :class:`ConfigurationError`."""
-        try:
-            payload = json.loads(text)
-        except ValueError as error:
-            raise ConfigurationError(f"sweep spec is not valid JSON: {error}") from None
-        if not isinstance(payload, dict):
-            raise ConfigurationError(
-                f"sweep spec must be a JSON object, got {type(payload).__name__}")
+        payload = decode_json_object(text, "sweep spec")
         version = payload.pop("format", SPEC_FORMAT_VERSION)
         if version != SPEC_FORMAT_VERSION:
             raise ConfigurationError(
                 f"unsupported sweep spec format {version} "
                 f"(expected {SPEC_FORMAT_VERSION})")
-        names = [spec_field.name for spec_field in dataclasses.fields(cls)]
-        unknown = sorted(set(payload) - set(names))
-        if unknown:
-            raise ConfigurationError(f"unknown sweep spec fields: {', '.join(unknown)}")
-        missing = sorted(set(names) - set(payload))
-        if missing:
-            raise ConfigurationError(f"missing sweep spec fields: {', '.join(missing)}")
-        ill_typed = [name for name in names if not _FIELD_CHECKS[name](payload[name])]
-        if ill_typed:
-            raise ConfigurationError(
-                f"ill-typed sweep spec fields: {', '.join(ill_typed)}")
+        check_fields(payload, _FIELD_CHECKS, "sweep spec")
         payload["epsilons"] = [_decode_epsilon(eps) for eps in payload["epsilons"]]
         return cls(**payload)
 

@@ -45,6 +45,7 @@ The surface mirrors ``socketserver`` so existing callers and tests drop in:
 from __future__ import annotations
 
 import json
+import queue
 import re
 import selectors
 import socket
@@ -151,11 +152,14 @@ class _UpdateJob:
     """One admitted ``/v1/graph/update``: apply + re-propagate off-loop.
 
     Same duck-typed parked contract as :class:`_ProxyJob` (``done()`` + an
-    ``on_done`` self-pipe hook).  The service call runs on its own thread
-    because re-propagation is a real computation; the event loop keeps
-    serving predict traffic — pinned to the previous epoch — meanwhile.
-    Updates are admitted one at a time (the server rejects a second with
-    429 while one is in flight), which keeps the epoch sequence linear.
+    ``on_done`` self-pipe hook).  The service call runs on the server's one
+    long-lived update thread (:func:`_run_updates`) because re-propagation
+    is a real computation; the event loop keeps serving predict traffic —
+    pinned to the previous epoch — meanwhile.  Updates are admitted one at
+    a time (the server rejects a second with 429 while one is in flight),
+    which keeps the epoch sequence linear.  ``run`` turns every
+    ``Exception`` into a 400 or 500, so a failed job leaves the thread
+    serving the next one.
     """
 
     __slots__ = ("service", "kwargs", "result", "error", "status",
@@ -184,6 +188,14 @@ class _UpdateJob:
         hook = self.on_done
         if hook is not None:
             hook()
+
+
+def _run_updates(jobs: queue.SimpleQueue) -> None:
+    """The update thread's body: run each admitted job in turn until the
+    ``None`` that ``server_close`` sends.  One thread serves every update
+    for the server's lifetime, instead of one new thread per update."""
+    for job in iter(jobs.get, None):
+        job.run()
 
 
 class _BadRequest(Exception):
@@ -250,6 +262,9 @@ class SelectorHTTPServer:
         # The in-flight /v1/graph/update, if any: updates are admitted one
         # at a time so the serving graph's epoch sequence stays linear.
         self._graph_update: _UpdateJob | None = None
+        # Admitted updates' queue to the update thread, both created on the
+        # first admitted update: a server that takes none runs no thread.
+        self._update_jobs: queue.SimpleQueue | None = None
 
         self._shutdown_request = False
         self._is_shut_down = threading.Event()
@@ -296,7 +311,11 @@ class SelectorHTTPServer:
         self._is_shut_down.wait()
 
     def server_close(self) -> None:
-        """Close the listener and every remaining connection."""
+        """Close the listener and every remaining connection, and stop the
+        update thread once its current job (if any) is done."""
+        if self._update_jobs is not None:
+            self._update_jobs.put(None)
+            self._update_jobs = None
         for conn in list(self._connections.values()):
             self._close_connection(conn)
         for sock in (self._listener, self._waker_r, self._waker_w):
@@ -665,7 +684,7 @@ class SelectorHTTPServer:
     def _submit_graph_update(self, conn: _Connection, headers: dict,
                              body: bytes, keep_alive: bool) -> None:
         """Validate, admit (one update in flight) and park the connection
-        while an off-loop thread applies the delta and re-propagates."""
+        while the update thread applies the delta and re-propagates."""
         span = self._start_predict_trace(headers, name="graph_update")
         parse_start = time.monotonic_ns() if span is not None else 0
         try:
@@ -716,8 +735,12 @@ class SelectorHTTPServer:
         }
         self._parked.add(conn)
         job.on_done = self._wake
-        threading.Thread(target=job.run, name="graph-update",
-                         daemon=True).start()
+        if self._update_jobs is None:
+            # A daemon: process exit never waits on an update.
+            self._update_jobs = queue.SimpleQueue()
+            threading.Thread(target=_run_updates, args=(self._update_jobs,),
+                             name="graph-update", daemon=True).start()
+        self._update_jobs.put(job)
 
     def _complete_graph_update(self, conn: _Connection, entry: dict,
                                now: float) -> None:
@@ -752,8 +775,8 @@ class SelectorHTTPServer:
             if conn.sock in self._connections:
                 self._process_input(conn)
         elif now >= entry["deadline"]:
-            # The connection gives up, the job thread finishes regardless —
-            # admission keeps further updates out until it does.
+            # The connection gives up, the update thread finishes the job
+            # regardless — admission keeps further updates out until it does.
             self._parked.discard(conn)
             conn.pending = None
             self._finish_trace(span, 503)

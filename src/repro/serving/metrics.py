@@ -304,6 +304,11 @@ class ServingMetrics:
         with self._lock:
             return sorted(self._models)
 
+    def forget(self, label: str) -> None:
+        """Drop a retired model's histograms (a no-op for unknown labels)."""
+        with self._lock:
+            self._models.pop(label, None)
+
     def as_dict(self) -> dict:
         with self._lock:
             return {label: metrics.as_dict()

@@ -93,6 +93,12 @@ class ModelRouter:
                         max_batch_size=override.get("max_batch_size"),
                         max_latency=override.get("max_latency"))
 
+    def forget(self, label: str) -> None:
+        """Drop a retired label's batch-limit override (a no-op for unknown
+        labels)."""
+        with self._lock:
+            self._overrides.pop(label, None)
+
     def model_limits(self, label: str) -> tuple[int, float]:
         """The effective ``(max_batch_size, max_latency)`` a queue for
         ``label`` runs (or would be created) with — what the SLO controller

@@ -352,16 +352,27 @@ class InferenceService:
             self._sessions.put(key, session)
             self._labels[key] = f"{session.record.ref}:g{epoch}:{mode}"
             evicted = [old for old in self._labels if old not in self._sessions]
-        # Retire evicted versions' queues (flush + stop the dispatch thread)
-        # so a long-lived server whose "@latest" keeps advancing does not
-        # leak one thread per publish; labels drop only after the flush so
-        # the final observations still carry the human name.
-        for old in evicted:
-            self.batcher.retire(old)
-        with self._lock:
-            for old in evicted:
-                self._labels.pop(old, None)
+        self._retire(evicted)
         return key, session
+
+    def _retire(self, keys) -> None:
+        """Retire evicted sessions' queues (flush + stop the dispatch thread),
+        then drop their labels from the metrics, the SLO controller's budgets
+        and the router's batch-limit overrides, so a server whose "@latest"
+        or graph epoch keeps advancing holds a thread and a label per live
+        session only.  Labels drop after the flush, so the final
+        observations still carry the human name, and leave the metrics
+        before the controller, so its next tick cannot bring them back.
+        """
+        for key in keys:
+            self.batcher.retire(key)
+        with self._lock:
+            labels = [self._labels.pop(key, None) for key in keys]
+        for label in filter(None, labels):
+            self.metrics.forget(label)
+            if self.slo_controller is not None:
+                self.slo_controller.forget(label)
+            self.batcher.forget(label)
 
     def _incremental_base(self, digest: str, mode: str, store_key: str,
                           epoch: int) -> _ModelSession | None:
@@ -385,10 +396,12 @@ class InferenceService:
         left the history window)."""
         try:
             graph = store.graph_at(epoch)
+            digest = store.digest_at(epoch)
             endpoints = store.endpoints_between(base.epoch, epoch)
         except ConfigurationError:
             return None
-        propagator = self.propagation.propagator(graph.adjacency, base.alpha)
+        propagator = self.propagation.propagator(graph.adjacency, base.alpha,
+                                                 key=digest)
         features, touched = incremental_inference_features(
             propagator, base.encoded, base.features, endpoints, base.steps,
             mode=mode, inference_alpha=base.inference_alpha)
@@ -412,7 +425,8 @@ class InferenceService:
         graph = store.graph_at(epoch)
         encoded = row_normalize_l2(model.encoder_.encode(graph.features))
         propagator = self.propagation.propagator(graph.adjacency,
-                                                 model.config.alpha)
+                                                 model.config.alpha,
+                                                 key=store.digest_at(epoch))
         steps = tuple(model.config.normalized_steps)
         inference_alpha = model.config.effective_inference_alpha
         features = inference_features(propagator, encoded, steps, mode=mode,
@@ -461,10 +475,13 @@ class InferenceService:
         """Apply one edge-delta batch and refresh the affected sessions.
 
         Two stages, both timed for the request trace: **apply** validates
-        the batch and atomically advances the store's epoch; **repropagate**
-        rebuilds every cached session that served the previous epoch off
-        that session (private: endpoint rows recomputed, the rest reused
-        bitwise; public: every row recomputed).
+        the batch, atomically advances the store's epoch and hashes the new
+        adjacency; **repropagate** rebuilds every cached session that served
+        the previous epoch off that session (private: endpoint rows
+        recomputed, the rest reused bitwise; public: every row recomputed,
+        all finite steps in one APPR recursion).  The rebuilds key the
+        propagation cache by the store's epoch digest, so the new adjacency
+        is hashed once per update.
         Requests already in flight keep their pinned epoch — the previous
         epoch's sessions and graph stay available until evicted.
         """
@@ -537,11 +554,7 @@ class InferenceService:
             keys = [key for key in self._sessions if key[0] == digest]
             for key in keys:
                 self._sessions.pop(key, None)
-        for key in keys:
-            self.batcher.retire(key)
-        with self._lock:
-            for key in keys:
-                self._labels.pop(key, None)
+        self._retire(keys)
         return len(keys)
 
     def loaded_digests(self) -> list[str]:

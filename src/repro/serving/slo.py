@@ -190,8 +190,10 @@ class SloController:
         per-label decisions (the deterministic entry point the tests call
         directly with a hand-fed metrics object)."""
         decisions: dict[str, dict] = {}
-        snapshot = self.metrics.latency_snapshot()
         with self._lock:
+            # Snapshot under the lock: a label forgotten before this tick
+            # cannot come back from a stale snapshot (see ``forget``).
+            snapshot = self.metrics.latency_snapshot()
             self.ticks += 1
             for label, (counts, observed_max, _total) in snapshot.items():
                 budget = self._budgets.get(label)
@@ -238,6 +240,12 @@ class SloController:
                                         max_latency=new_latency)
         return {"action": action, "p99": p99, "requests": requests,
                 "max_batch_size": new_size, "max_latency": new_latency}
+
+    def forget(self, label: str) -> None:
+        """Drop a retired label's budget.  Waits for a running tick, so once
+        the label is gone from the metrics no tick can recreate it."""
+        with self._lock:
+            self._budgets.pop(label, None)
 
     # ------------------------------------------------------------------ #
     # lifecycle

@@ -4,9 +4,14 @@ import math
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
+import scipy.sparse.linalg as spla
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.core.propagation import Propagator
 from repro.exceptions import ConfigurationError
+from repro.graphs.adjacency import row_stochastic_normalize
 from repro.graphs.generators import CitationGraphSpec, generate_citation_graph
 
 
@@ -230,3 +235,123 @@ class TestPropagationCache:
             assert propagator.cache is P.get_default_cache()
         # ...and the default is restored on exit.
         assert P.cached_propagator(triangle_adjacency, 0.5).cache is None
+
+
+# --------------------------------------------------------------------------- #
+# one shared APPR recursion == the per-step recursion it replaced
+# --------------------------------------------------------------------------- #
+def _per_step_oracle(adjacency, alpha: float, features, steps_list) -> np.ndarray:
+    """The scaled concatenation of Eq. (11) as computed before the shared
+    recursion: one independent Eq. (9) loop per entry of ``steps_list`` and
+    one LU solve per ``∞`` entry.  Kept here as the bitwise oracle."""
+    transition = row_stochastic_normalize(adjacency, add_loops=True)
+    features = np.asarray(features, dtype=np.float64)
+    blocks = []
+    for steps in steps_list:
+        if steps == 0 or (steps == math.inf and alpha == 1.0):
+            blocks.append(features.copy())
+        elif steps == math.inf:
+            system = sp.identity(transition.shape[0], format="csc") \
+                - (1.0 - alpha) * transition.tocsc()
+            blocks.append(alpha * spla.splu(system.tocsc()).solve(features))
+        else:
+            aggregated = features.copy()
+            for _ in range(int(steps)):
+                aggregated = (1.0 - alpha) * (transition @ aggregated) + alpha * features
+            blocks.append(aggregated)
+    return np.concatenate(blocks, axis=1) / len(blocks)
+
+
+def _random_adjacency(seed: int, nodes: int, density: float):
+    rng = np.random.default_rng(seed)
+    upper = np.triu(rng.random((nodes, nodes)) < density, k=1)
+    return sp.csr_matrix((upper | upper.T).astype(np.float64))
+
+
+def _bitwise_equal(actual, expected) -> bool:
+    return (actual.shape == expected.shape
+            and actual.tobytes() == expected.tobytes())
+
+
+_STEPS_LISTS = st.lists(st.sampled_from([0, 1, 2, 3, 4, 6, math.inf]),
+                        min_size=1, max_size=6)
+_ALPHAS = st.sampled_from([0.1, 0.5, 0.8, 1.0])
+
+
+class TestSharedRecursionMatchesPerStep:
+    """Every block of one shared recursion is bitwise the block the old
+    per-step loop computed, whatever the order, repeats and limits of the
+    steps list, with and without the propagation cache."""
+
+    @given(seed=st.integers(0, 10_000), nodes=st.integers(2, 30),
+           density=st.floats(0.0, 0.5), steps_list=_STEPS_LISTS, alpha=_ALPHAS)
+    @settings(max_examples=60, deadline=None)
+    def test_propagate_concat(self, seed, nodes, density, steps_list, alpha):
+        from repro.core.propagation import PropagationCache
+
+        adjacency = _random_adjacency(seed, nodes, density)
+        features = np.random.default_rng(seed + 1).normal(size=(nodes, 3))
+        expected = _per_step_oracle(adjacency, alpha, features, steps_list)
+        plain = Propagator(adjacency, alpha).propagate_concat(features, steps_list)
+        assert _bitwise_equal(plain, expected)
+        # Cached: a cold miss, a partial hit (a prefix was cached first) and
+        # a full hit all equal the oracle.
+        cache = PropagationCache()
+        cached = cache.propagator(adjacency, alpha)
+        assert _bitwise_equal(cached.propagate_concat(features, steps_list[:1]),
+                              _per_step_oracle(adjacency, alpha, features,
+                                               steps_list[:1]))
+        for _ in range(2):
+            assert _bitwise_equal(cached.propagate_concat(features, steps_list),
+                                  expected)
+
+    @given(seed=st.integers(0, 10_000), nodes=st.integers(3, 30),
+           density=st.floats(0.05, 0.5), steps_list=_STEPS_LISTS, alpha=_ALPHAS,
+           use_cache=st.booleans())
+    @settings(max_examples=60, deadline=None)
+    def test_public_incremental(self, seed, nodes, density, steps_list, alpha,
+                                use_cache):
+        from repro.core.propagation import (
+            PropagationCache,
+            incremental_inference_features,
+        )
+
+        adjacency = _random_adjacency(seed, nodes, density)
+        features = np.random.default_rng(seed + 1).normal(size=(nodes, 3))
+        old = _per_step_oracle(adjacency, alpha, features, steps_list)
+        # Toggle one node pair: an insert or a delete.
+        rng = np.random.default_rng(seed + 2)
+        u, v = (int(node) for node in rng.choice(nodes, size=2, replace=False))
+        changed = adjacency.tolil()
+        changed[u, v] = changed[v, u] = 1.0 - changed[u, v]
+        changed = changed.tocsr()
+        changed.eliminate_zeros()
+        propagator = (PropagationCache().propagator(changed, alpha) if use_cache
+                      else Propagator(changed, alpha))
+        new, touched = incremental_inference_features(
+            propagator, features, old, [u, v], steps_list, mode="public")
+        assert _bitwise_equal(new, _per_step_oracle(changed, alpha, features,
+                                                    steps_list))
+        assert touched.size == (0 if set(steps_list) == {0} else nodes)
+
+    def test_kept_blocks_are_not_overwritten_by_later_iterates(self, tiny_graph):
+        propagator = Propagator(tiny_graph.adjacency, alpha=0.5)
+        features = np.random.default_rng(0).normal(size=(tiny_graph.num_nodes, 4))
+        blocks = propagator._propagate_appr(features, [1, 2, 5])
+        assert sorted(blocks) == [1, 2, 5]
+        assert len({id(block) for block in blocks.values()}) == 3
+        for steps, block in blocks.items():
+            assert _bitwise_equal(
+                block, _per_step_oracle(tiny_graph.adjacency, 0.5, features, [steps]))
+
+    def test_cache_counts_each_distinct_step_once(self, triangle_adjacency, rng):
+        from repro.core.propagation import PropagationCache
+
+        cache = PropagationCache()
+        propagator = cache.propagator(triangle_adjacency, 0.5)
+        features = rng.normal(size=(4, 2))
+        propagator.propagate_concat(features, [4, 2, 2, 0])
+        assert cache.stats["features"] == {"hits": 0, "misses": 2}
+        propagator.propagate_concat(features, [2, 3])
+        assert cache.stats["features"] == {"hits": 1, "misses": 3}
+        assert cache.info()["features"]["entries"] == 3

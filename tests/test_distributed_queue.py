@@ -129,6 +129,82 @@ class TestSweepSpec:
         assert "format 1" in lines[0] and "expected 2" in lines[0]
 
 
+def _task_json() -> str:
+    spec = _spec(epsilons=(0.5, float("inf")), repeats=1)
+    cells = tuple(c for c in spec.expand() if c.group == 0)
+    return GroupTask(group_id=group_id_for(spec.digest(), cells),
+                     spec_digest=spec.digest(), cells=cells).to_json()
+
+
+def _edit_cell(**fields):
+    def edit(payload):
+        payload["cells"][0].update(fields)
+        return payload
+    return edit
+
+
+def _drop_cell_field(name):
+    def edit(payload):
+        del payload["cells"][0][name]
+        return payload
+    return edit
+
+
+class TestGroupTaskFromJson:
+    def test_round_trip(self):
+        text = _task_json()
+        assert GroupTask.from_json(text).to_json() == text
+
+    @pytest.mark.parametrize("edit, message", [
+        (lambda payload: [payload], "must be a JSON object"),
+        (lambda payload: dict(payload, priority=1), "unknown group task fields"),
+        (lambda payload: {k: v for k, v in payload.items() if k != "spec_digest"},
+         "missing group task fields: spec_digest"),
+        (lambda payload: dict(payload, group_id=7), "ill-typed group task fields"),
+        (lambda payload: dict(payload, cells="c0"), "ill-typed group task fields"),
+        (lambda payload: dict(payload, cells=[1]), "ill-typed group task fields"),
+        (lambda payload: dict(payload, cells=[]), "at least one cell"),
+        (lambda payload: dict(payload, format=2), "unsupported task format"),
+        (_edit_cell(weight=1.0), "unknown group task cell fields: weight"),
+        (_drop_cell_field("seed"), "missing group task cell fields: seed"),
+        (_drop_cell_field("epsilon"), "missing group task cell fields: epsilon"),
+        (_edit_cell(index="0"), "ill-typed group task cell fields: index"),
+        (_edit_cell(seed=True), "ill-typed group task cell fields: seed"),
+        (_edit_cell(repeat=0.5), "ill-typed group task cell fields: repeat"),
+        (_edit_cell(epsilon="x"), "ill-typed group task cell fields: epsilon"),
+        (_edit_cell(method=3), "ill-typed group task cell fields: method"),
+        (_edit_cell(group=None), "ill-typed group task cell fields: group"),
+    ], ids=["non-object", "unknown-field", "missing-field", "group-id-type",
+            "cells-type", "cell-type", "no-cells", "format", "cell-unknown",
+            "cell-missing-seed", "cell-missing-epsilon", "cell-index-type",
+            "cell-seed-bool", "cell-repeat-type", "cell-epsilon-type",
+            "cell-method-type", "cell-group-type"])
+    def test_malformed_payload_raises_configuration_error(self, edit, message):
+        payload = edit(json.loads(_task_json()))
+        with pytest.raises(ConfigurationError, match=message):
+            GroupTask.from_json(json.dumps(payload))
+
+    def test_invalid_json_raises_configuration_error(self):
+        with pytest.raises(ConfigurationError, match="not valid JSON"):
+            GroupTask.from_json("{")
+
+    def test_dist_status_exits_2_on_a_task_missing_a_cell_seed(self, tmp_path,
+                                                                capsys):
+        from repro.cli.main import main
+
+        coordinator = Coordinator(tmp_path / "q")
+        coordinator.submit(_spec())
+        path = sorted(coordinator.queue.tasks_dir.glob("*.json"))[0]
+        payload = json.loads(path.read_text(encoding="utf-8"))
+        del payload["cells"][0]["seed"]
+        path.write_text(json.dumps(payload), encoding="utf-8")
+        assert main(["dist", "status", "--dist-dir",
+                     str(coordinator.queue.root)]) == 2
+        lines = capsys.readouterr().err.strip().splitlines()
+        assert len(lines) == 1
+        assert "missing group task cell fields: seed" in lines[0]
+
+
 class TestWorkQueue:
     def test_initialize_is_idempotent_for_the_same_spec(self, tmp_path):
         queue = WorkQueue(tmp_path / "q")

@@ -216,6 +216,62 @@ class TestServiceGraphUpdate:
         assert any(label.endswith(":g1:private") for label in labels)
 
 
+    def test_update_hashes_the_new_adjacency_once(self, service, monkeypatch):
+        """The store hashes each epoch's adjacency once; both session
+        rebuilds key the propagation cache by that digest instead of
+        hashing the same adjacency again."""
+        from repro.core import propagation
+        from repro.serving import graphstore
+
+        service.predict_scores("demo", [0], mode="private")
+        service.predict_scores("demo", [0], mode="public")
+        calls = []
+
+        def counting(original):
+            def fingerprint(adjacency):
+                calls.append(adjacency.shape)
+                return original(adjacency)
+            return fingerprint
+
+        for module in (propagation, graphstore):
+            monkeypatch.setattr(module, "graph_fingerprint",
+                                counting(module.graph_fingerprint))
+        result = service.apply_graph_update(sample_insert=2, sample_delete=1,
+                                            seed=5)
+        assert result["sessions_refreshed"] == 2
+        assert len(calls) == 1
+        # One transition entry per epoch, as when the cache hashed each
+        # adjacency itself.
+        assert service.propagation.info()["transition"]["entries"] == 2
+
+    def test_retired_sessions_leave_no_labels_behind(self, registry, graph):
+        """Every update mints two session labels; once the session LRU
+        evicts them, the metrics, the SLO controller's budgets and the
+        router's batch-limit overrides drop them too."""
+        from repro.serving.slo import SloController
+
+        max_sessions = 4
+        service = InferenceService(registry, graph=graph,
+                                   max_sessions=max_sessions)
+        controller = SloController(service.batcher, target_p99=0.05)
+        service.attach_slo(controller)
+        for seed in range(3 * max_sessions):
+            service.predict_scores("demo", [0, 1], mode="private")
+            service.predict_scores("demo", [0, 1], mode="public")
+            controller.tick()
+            service.apply_graph_update(sample_insert=1, seed=seed)
+        controller.tick()
+        labels = service.metrics.labels()
+        assert len(labels) <= max_sessions
+        assert len(controller.state()["models"]) <= max_sessions
+        assert len(service.batcher._overrides) <= max_sessions
+        assert set(controller.state()["models"]) <= set(labels)
+        assert set(service.stats()["models"]) <= set(labels)
+        # The live sessions' labels are still there.
+        assert any(label.endswith(f":g{3 * max_sessions - 1}:public")
+                   for label in labels)
+
+
 class TestParsePayload:
     def test_valid_payload_maps_to_kwargs(self):
         kwargs = parse_graph_update_payload(
@@ -296,6 +352,82 @@ class TestHttpSurface:
             server._graph_update = None
         assert status == 429
         assert "already in flight" in body["error"]
+
+    def test_updates_run_on_one_long_lived_thread(self, server, service,
+                                                  monkeypatch):
+        threads = []
+        apply = service.apply_graph_update
+
+        def recording(**kwargs):
+            threads.append(threading.current_thread())
+            return apply(**kwargs)
+
+        monkeypatch.setattr(service, "apply_graph_update", recording)
+        status, _body = _http(server, "/v1/graph/update",
+                              {"sample_insert": 1, "seed": 0})
+        assert status == 200
+        baseline = threading.active_count()
+        for seed in range(1, 6):
+            status, body = _http(server, "/v1/graph/update",
+                                 {"sample_insert": 1, "seed": seed})
+            assert status == 200
+            assert body["epoch"] == seed + 1
+            assert threading.active_count() <= baseline
+        assert len(threads) == 6
+        assert all(thread is threads[0] for thread in threads)
+        assert threads[0] is not threading.main_thread()
+        assert threads[0].daemon
+
+    def test_a_failed_update_leaves_the_update_thread_serving(
+            self, server, service, monkeypatch):
+        threads = []
+        apply = service.apply_graph_update
+
+        def flaky(**kwargs):
+            threads.append(threading.current_thread())
+            if len(threads) == 1:
+                raise RuntimeError("injected failure")
+            return apply(**kwargs)
+
+        monkeypatch.setattr(service, "apply_graph_update", flaky)
+        status, body = _http(server, "/v1/graph/update", {"sample_insert": 1})
+        assert status == 500
+        assert "injected failure" in body["error"]
+        status, body = _http(server, "/v1/graph/update",
+                             {"sample_insert": 1, "seed": 1})
+        assert status == 200
+        assert body["epoch"] == 1
+        assert threads[0] is threads[1]
+
+    def test_server_close_stops_the_update_thread(self, service, monkeypatch):
+        threads = []
+        apply = service.apply_graph_update
+
+        def recording(**kwargs):
+            threads.append(threading.current_thread())
+            return apply(**kwargs)
+
+        monkeypatch.setattr(service, "apply_graph_update", recording)
+        before = set(threading.enumerate())
+        server = serve_http(service, port=0)
+        loop = threading.Thread(target=server.serve_forever, daemon=True)
+        loop.start()
+        try:
+            status, _body = _http(server, "/v1/predict",
+                                  {"model": "demo", "nodes": [0]})
+            assert status == 200
+            # No update yet: the server has started no update thread.
+            assert not [thread for thread in set(threading.enumerate()) - before
+                        if thread.name == "graph-update"]
+            status, _body = _http(server, "/v1/graph/update",
+                                  {"sample_insert": 1})
+            assert status == 200
+        finally:
+            server.shutdown()
+            server.server_close()
+            service.close()
+        threads[0].join(timeout=10.0)
+        assert not threads[0].is_alive()
 
     def test_metrics_expose_epoch_and_cache_gauges(self, server, service):
         service.predict_scores("demo", [0])
