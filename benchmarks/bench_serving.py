@@ -36,16 +36,12 @@ from repro.evaluation.figures import default_gcon_config
 from repro.evaluation.reporting import render_table
 from repro.graphs.datasets import load_dataset
 from repro.serving import (
-    FleetMember,
-    FleetRouter,
-    FleetView,
     InferenceService,
     MicroBatcher,
     ModelRegistry,
     OverloadedError,
     SloController,
     serve_http,
-    watch_models,
 )
 
 BATCH_SIZES = (4, 16, 64, 256)
@@ -672,232 +668,3 @@ def test_tracing_overhead_within_budget(benchmark, tmp_path):
         f"tracing p99 overhead blew even the loose gate: "
         f"{stats['traced']['p99'] * 1e3:.2f}ms traced vs "
         f"{stats['untraced']['p99'] * 1e3:.2f}ms untraced (ratio {ratio:.2f})")
-
-
-# --------------------------------------------------------------------------- #
-# fleet failover: kill one of N replicas under load
-# --------------------------------------------------------------------------- #
-FLEET_TTL = 1.0
-
-
-class _FleetReplica:
-    """One in-process serving replica joined to a shared fleet directory."""
-
-    def __init__(self, registry, graph, fleet_dir, rid):
-        self.service = InferenceService(registry, graph=graph)
-        self.service.prewarm("bench@latest")
-        self.server = serve_http(self.service, port=0)
-        self.port = self.server.server_address[1]
-        self.member = FleetMember(fleet_dir, rid, "127.0.0.1", self.port,
-                                  ttl=FLEET_TTL)
-        self.member.join(self.service.loaded_digests())
-        self.member.start()
-        self.server.fleet = FleetRouter(self.member)
-        self.watcher = watch_models(
-            self.service, ["bench@latest"], interval=0.2,
-            on_flip=lambda *_: self.member.advertise(
-                self.service.loaded_digests()))
-        self.watcher.start()
-        self.thread = threading.Thread(target=self.server.serve_forever,
-                                       daemon=True)
-        self.thread.start()
-
-    def kill(self):
-        """SIGKILL stand-in: stop serving and heartbeating; release nothing,
-        so the lease must *expire* out of the survivors' routing view."""
-        self.watcher.close()
-        self.member._stop.set()
-        self.server.shutdown()
-        self.server.server_close()
-        self.service.close()
-
-    def close(self):
-        self.watcher.close()
-        self.member.leave()
-        self.server.shutdown()
-        self.server.server_close()
-        self.service.close()
-
-
-class _FleetClient:
-    """A load-balancing client: round-robins over the replicas it believes
-    are alive, drops a backend on its first connection failure (the error is
-    counted — that is the bounded in-flight loss) and retries elsewhere."""
-
-    def __init__(self, ports):
-        self.ports = list(ports)
-        self.turn = 0
-        self.errors = 0
-
-    def predict(self, nodes):
-        import urllib.error
-        import urllib.request
-
-        payload = json.dumps({"model": "bench", "nodes": nodes}).encode()
-        while True:
-            if not self.ports:
-                raise RuntimeError("every replica is gone")
-            port = self.ports[self.turn % len(self.ports)]
-            self.turn += 1
-            request = urllib.request.Request(
-                f"http://127.0.0.1:{port}/v1/predict", data=payload,
-                headers={"Content-Type": "application/json"})
-            start = time.perf_counter()
-            try:
-                with urllib.request.urlopen(request, timeout=10.0) as resp:
-                    body = json.loads(resp.read())
-                return time.perf_counter() - start, body
-            except urllib.error.HTTPError:
-                raise  # a served 4xx/5xx is a hard failure, not a dead socket
-            except (urllib.error.URLError, OSError):
-                self.errors += 1
-                self.ports.remove(port)
-
-
-def _drive(clients, offline, rng, num_nodes, requests_per_client):
-    """All clients issue requests concurrently; every answer is checked
-    bitwise against ``offline`` before its latency counts."""
-    latencies = [[] for _ in clients]
-    failures = []
-
-    def _loop(index, client, node_lists):
-        try:
-            for nodes in node_lists:
-                seconds, body = client.predict(nodes)
-                if not np.array_equal(np.asarray(body["scores"]),
-                                      offline[nodes]):
-                    raise AssertionError(f"served scores diverged on {nodes}")
-                latencies[index].append(seconds)
-        except Exception as exc:  # noqa: BLE001 - surfaced to the main thread
-            failures.append(exc)
-
-    threads = []
-    for index, client in enumerate(clients):
-        node_lists = [rng.integers(0, offline.shape[0], size=3).tolist()
-                      for _ in range(requests_per_client)]
-        thread = threading.Thread(target=_loop,
-                                  args=(index, client, node_lists))
-        threads.append(thread)
-        thread.start()
-    for thread in threads:
-        thread.join()
-    if failures:
-        raise failures[0]
-    return [seconds for per_client in latencies for seconds in per_client]
-
-
-def _p99(latencies):
-    return float(np.percentile(np.asarray(latencies), 99))
-
-
-def _run_fleet_failover(settings, root):
-    registry, graph, model = _publish_model(settings, root / "registry")
-    offline = model.decision_scores(graph, mode="private")
-    fleet_dir = root / "fleet"
-    replicas = [_FleetReplica(registry, graph, fleet_dir, f"r{i}")
-                for i in range(3)]
-    digest = registry.resolve("bench@latest").digest
-    view = FleetView(fleet_dir)
-    victim = next(r for r in replicas
-                  if r.member.replica_id == view.owner(digest).replica_id)
-    survivors = [r for r in replicas if r is not victim]
-
-    rng = np.random.default_rng(settings.seed)
-    per_client = 12 if is_smoke() else 40
-    clients = [_FleetClient([r.port for r in replicas]) for _ in range(3)]
-    outcome = {}
-    try:
-        # Phase 1: steady state, all three replicas alive.
-        steady = _drive(clients, offline, rng, graph.num_nodes, per_client)
-        assert sum(c.errors for c in clients) == 0
-
-        # Phase 2: SIGKILL the digest's owner mid-traffic.
-        kill_at = time.monotonic()
-        victim.kill()
-        during = _drive(clients, offline, rng, graph.num_nodes, per_client)
-        event_errors = sum(c.errors for c in clients)
-        # Bounded loss: each client loses at most its one in-flight request
-        # to the dead socket, then drops the backend and retries elsewhere.
-        assert event_errors <= len(clients)
-
-        # The dead lease must expire out of the routing view within one TTL
-        # (plus scheduling margin), after which the survivors' ring owns
-        # every key.
-        while victim.member.replica_id in {
-                r.replica_id for r in view.route(digest)}:
-            if time.monotonic() - kill_at > 4.0 * FLEET_TTL:
-                raise AssertionError("dead lease never left the routing view")
-            time.sleep(0.05)
-        absorb_seconds = time.monotonic() - kill_at
-
-        # Phase 3: post-failover steady state over the two survivors.
-        post = _drive(clients, offline, rng, graph.num_nodes, per_client)
-        assert sum(c.errors for c in clients) == event_errors  # no new loss
-
-        # Phase 4: flip @latest mid-run; zero 5xx, traffic follows the flip.
-        other = GCON(default_gcon_config(0.5, 1.0 / max(graph.num_edges, 1),
-                                         settings))
-        other.fit(graph, seed=settings.seed + 1)
-        registry.publish(other, "bench", inference_mode="private",
-                         training={"dataset": settings.datasets[0],
-                                   "scale": settings.scale,
-                                   "graph_seed": settings.seed})
-        offline_two = other.decision_scores(graph, mode="private")
-        flip_deadline = time.monotonic() + 15.0
-        while any(r.watcher.flips == 0 for r in survivors):
-            if time.monotonic() > flip_deadline:
-                raise AssertionError("registry watcher never saw the flip")
-            time.sleep(0.05)
-        flip = _drive(clients, offline_two, rng, graph.num_nodes, per_client)
-        assert sum(c.errors for c in clients) == event_errors  # zero 5xx
-    finally:
-        for replica in replicas:
-            try:
-                replica.close()
-            except Exception:  # noqa: BLE001 - the victim is already dead
-                pass
-
-    outcome.update(
-        steady=steady, during=during, post=post, flip=flip,
-        event_errors=event_errors, absorb_seconds=absorb_seconds,
-        failovers=sum(r.server.fleet_stats["failover_local"]
-                      for r in survivors),
-        proxied=sum(r.server.fleet_stats["proxied"] for r in replicas))
-    return outcome
-
-
-def test_fleet_kill_one_of_three_under_load(benchmark, tmp_path):
-    settings = bench_settings(datasets=("cora_ml",))
-    outcome = benchmark.pedantic(_run_fleet_failover,
-                                 args=(settings, tmp_path),
-                                 rounds=1, iterations=1)
-
-    rows = []
-    for phase, label in (("steady", "steady state (3 replicas)"),
-                         ("during", "kill window (dead lease still live)"),
-                         ("post", "post-failover (2 replicas)"),
-                         ("flip", "@latest flipped mid-run")):
-        latencies = outcome[phase]
-        rows.append([label, str(len(latencies)),
-                     f"{np.median(latencies) * 1e3:.1f}",
-                     f"{_p99(latencies) * 1e3:.1f}"])
-    record("serving_fleet_failover",
-           render_table(
-               ["phase", "requests", "p50 ms", "p99 ms"], rows,
-               title=f"kill-one-of-3 fleet failover "
-                     f"(TTL {FLEET_TTL:.0f}s; dead lease absorbed in "
-                     f"{outcome['absorb_seconds']:.2f}s; "
-                     f"{outcome['event_errors']} dropped request(s); "
-                     f"every answer bitwise equal to offline scores)"))
-
-    # The acceptance claims: the dead replica's keys are absorbed within one
-    # lease TTL (generous scheduling margin for a loaded CI runner), loss is
-    # bounded to the clients' in-flight requests, and the post-failover p99
-    # stays within 2x the steady state (floored to keep micro-latency noise
-    # on a quiet laptop from flaking the 2x ratio).
-    assert outcome["absorb_seconds"] <= 2.0 * FLEET_TTL
-    assert outcome["event_errors"] <= 3
-    steady_p99 = max(_p99(outcome["steady"]), 0.010)
-    assert _p99(outcome["post"]) <= 2.0 * steady_p99, (
-        f"post-failover p99 {_p99(outcome['post']):.4f}s exceeds 2x "
-        f"steady-state {steady_p99:.4f}s")

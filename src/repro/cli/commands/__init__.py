@@ -11,7 +11,6 @@ live argparse tree so ``docs/cli.md`` must name whatever is registered.
 from repro.cli.commands import (
     dist,
     experiments,
-    fleet,
     graph,
     obs,
     serving,
@@ -24,7 +23,6 @@ COMMAND_MODULES = (
     dist,
     serving,
     graph,
-    fleet,
     obs,
 )
 

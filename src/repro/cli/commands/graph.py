@@ -1,10 +1,9 @@
-"""The ``graph`` command family: live mutation of a replica's serving graph.
+"""The ``graph`` command family: live mutation of a server's serving graph.
 
 ``repro graph update`` posts an edge-delta batch to a running server's
 ``POST /v1/graph/update`` (explicit edges, server-side sampled edges, or
 both); ``repro graph status`` reads ``GET /v1/graph/status``.  Both talk to
-one replica over HTTP — the fleet-wide epoch view lives in
-``repro fleet status``.
+one server over HTTP, and an update changes only that server's graph.
 """
 
 from __future__ import annotations
@@ -155,11 +154,13 @@ def configure(subparsers) -> None:
     update.add_argument("--sample-insert", type=int, default=0,
                         dest="sample_insert", metavar="N",
                         help="additionally insert N server-sampled random "
-                             "non-edges")
+                             "non-edges (at most 1000 sampled edges per "
+                             "update, inserts and deletes together)")
     update.add_argument("--sample-delete", type=int, default=0,
                         dest="sample_delete", metavar="N",
                         help="additionally delete N server-sampled random "
-                             "existing edges")
+                             "existing edges (counts toward the same "
+                             "1000-edge limit)")
     update.add_argument("--seed", type=int, default=None,
                         help="seed for the server-side edge sampling")
     update.add_argument("--graph", default=None, metavar="KEY",

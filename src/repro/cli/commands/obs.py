@@ -6,12 +6,7 @@ import sys
 
 
 def command_trace(args) -> int:
-    """List recent traces, or pretty-print one trace as a span tree.
-
-    Spans are fetched from every ``--url`` and merged by trace id, so a
-    cross-replica trace (relay proxy hop + owner execution) renders as one
-    tree even though each replica stores only its own spans.
-    """
+    """List recent traces, or pretty-print one trace as a span tree."""
     from repro.obs.aggregate import (
         fetch_recent_traces,
         fetch_trace_spans,
@@ -20,13 +15,13 @@ def command_trace(args) -> int:
     )
 
     if args.trace_id is None:
-        rows = fetch_recent_traces(args.urls, limit=args.limit)
+        rows = fetch_recent_traces(args.url, limit=args.limit)
         print(render_trace_list(rows))
         return 0
-    spans = fetch_trace_spans(args.urls, args.trace_id)
+    spans = fetch_trace_spans(args.url, args.trace_id)
     if not spans:
-        print(f"trace {args.trace_id} not found on any replica "
-              f"({len(args.urls)} server(s) queried)", file=sys.stderr)
+        print(f"trace {args.trace_id} not found on {args.url}",
+              file=sys.stderr)
         return 1
     print(render_trace_tree(spans))
     return 0
@@ -38,10 +33,8 @@ def configure(subparsers) -> None:
     trace.add_argument("trace_id", nargs="?", default=None,
                        help="trace id to render as a span tree (omit to "
                             "list recent traces)")
-    trace.add_argument("--url", required=True, action="append", dest="urls",
-                       metavar="URL",
-                       help="server base URL, e.g. http://127.0.0.1:8151; "
-                            "repeat to merge spans across fleet replicas")
+    trace.add_argument("--url", required=True, metavar="URL",
+                       help="server base URL, e.g. http://127.0.0.1:8151")
     trace.add_argument("--limit", type=int, default=10,
-                       help="how many recent traces to list per server")
+                       help="how many recent traces to list")
     trace.set_defaults(func=command_trace)

@@ -110,17 +110,6 @@ def command_publish(args) -> int:
     return 0
 
 
-def _parse_advertise(advertise: str | None, host: str, port: int) -> tuple[str, int]:
-    """``--advertise HOST[:PORT]`` → the address peers dial; defaults to the
-    actually bound host:port (so ``--port 0`` advertises the ephemeral one)."""
-    if not advertise:
-        return host, port
-    adv_host, sep, adv_port = advertise.rpartition(":")
-    if sep and adv_port.isdigit():
-        return adv_host or host, int(adv_port)
-    return advertise, port
-
-
 def command_serve(args) -> int:
     """Serve registry models over the selector-loop HTTP JSON API."""
     from repro.serving import InferenceService, SloController, serve_http
@@ -157,47 +146,12 @@ def command_serve(args) -> int:
                         trace=not args.no_trace)
     host, port = server.server_address[:2]
 
-    member = None
-    if args.fleet_dir:
-        from repro.serving import FleetMember, FleetRouter, default_replica_id
-
-        adv_host, adv_port = _parse_advertise(args.advertise, host, port)
-        replica_id = args.replica_id or default_replica_id(adv_host, adv_port)
-        try:
-            member = FleetMember(args.fleet_dir, replica_id, adv_host,
-                                 adv_port, ttl=args.fleet_ttl)
-            member.join(service.loaded_digests(),
-                        graph_epochs=service.graph_epochs())
-        except Exception as error:
-            server.server_close()
-            if controller is not None:
-                controller.close()
-            service.close()
-            print(f"serve failed: {error}", file=sys.stderr)
-            return 2
-        member.start()
-        server.fleet = FleetRouter(member, proxy=not args.fleet_redirect)
-
-        def _advertise_epochs(_result):
-            # An applied edge delta re-advertises the new epoch map on the
-            # membership lease, so `repro fleet status` shows agreement.
-            member.advertise(service.loaded_digests(),
-                             graph_epochs=service.graph_epochs())
-
-        service.on_graph_update = _advertise_epochs
-
     watcher = None
     if args.reload_interval and args.reload_interval > 0:
         from repro.serving import watch_models
 
-        def _readvertise(_name, _old, _new):
-            if member is not None:
-                member.advertise(service.loaded_digests(),
-                                 graph_epochs=service.graph_epochs())
-
         watcher = watch_models(service, args.models,
-                               interval=args.reload_interval,
-                               on_flip=_readvertise).start()
+                               interval=args.reload_interval).start()
 
     served = ", ".join(f"{record.ref} (mode={record.inference_mode})"
                        for record in records)
@@ -205,12 +159,10 @@ def command_serve(args) -> int:
                 else "static batching")
     depth_note = (f"queue<={max_queue_depth}" if max_queue_depth is not None
                   else "no admission cap")
-    fleet_note = (f", fleet {member.replica_id} in {args.fleet_dir} "
-                  f"(ttl {args.fleet_ttl:g}s)" if member is not None else "")
     print(f"serving {served} on http://{host}:{port} "
           f"(batch<={args.batch_size}, latency<={args.max_latency_ms:g}ms, "
-          f"connections<={args.max_connections}, {slo_note}, {depth_note})"
-          f"{fleet_note}", file=sys.stderr, flush=True)
+          f"connections<={args.max_connections}, {slo_note}, {depth_note})",
+          file=sys.stderr, flush=True)
     try:
         server.serve_forever()
     except KeyboardInterrupt:
@@ -218,8 +170,6 @@ def command_serve(args) -> int:
     finally:
         if watcher is not None:
             watcher.close()
-        if member is not None:
-            member.leave()  # graceful: the census drops us immediately
         server.server_close()
         if controller is not None:
             controller.close()
@@ -295,28 +245,6 @@ def configure(subparsers) -> None:
                        help="load model bundles eagerly instead of "
                             "memory-mapping them (scores are bitwise "
                             "identical either way)")
-    serve.add_argument("--fleet-dir", default=None, dest="fleet_dir",
-                       metavar="DIR",
-                       help="join the replica fleet coordinated under DIR: "
-                            "hold a membership lease there and route each "
-                            "model digest to its owning replica over a "
-                            "consistent-hash ring")
-    serve.add_argument("--advertise", default=None, metavar="HOST[:PORT]",
-                       help="address peers should reach this replica at "
-                            "(default: the bound host:port)")
-    serve.add_argument("--replica-id", default=None, dest="replica_id",
-                       help="fleet replica id (default: derived from the "
-                            "advertised address and pid; must be unique "
-                            "per fleet)")
-    serve.add_argument("--fleet-ttl", type=float, default=10.0,
-                       dest="fleet_ttl", metavar="SECONDS",
-                       help="membership lease TTL: a replica that misses "
-                            "heartbeats this long is expired and its ring "
-                            "arcs move to the survivors (default: 10)")
-    serve.add_argument("--fleet-redirect", action="store_true",
-                       dest="fleet_redirect",
-                       help="answer peer-owned digests with a 307 redirect "
-                            "instead of proxying server-side")
     serve.add_argument("--reload-interval", type=float, default=1.0,
                        dest="reload_interval", metavar="SECONDS",
                        help="poll the registry's latest pointers this often; "

@@ -1,7 +1,7 @@
 """Argument parsing and sub-command dispatch for the ``gcon-repro`` CLI.
 
 The sub-commands themselves live in :mod:`repro.cli.commands`, one module
-per family (experiments, sweep, dist, serving, fleet, obs); each registers
+per family (experiments, sweep, dist, serving, graph, obs); each registers
 its parsers through ``configure(subparsers)``.  This module only assembles
 the tree and dispatches — ``build_parser``/``main`` stay importable from
 here, which is the surface the console scripts, ``python -m repro.cli``

@@ -139,7 +139,7 @@ def _mmap_npz_arrays(path: Path, mmap_mode: str = "r") -> dict[str, np.ndarray]:
 
     ``np.load(..., mmap_mode=...)`` silently ignores the mmap request for
     ``.npz`` files (the NpzFile reader always copies members into fresh
-    arrays), so replica cold-start pays one full copy of every model array.
+    arrays), so server cold-start pays one full copy of every model array.
     ``np.savez`` stores members with ``ZIP_STORED`` — raw, contiguous
     ``.npy`` bytes inside the zip — so each array can be mapped in place:
     parse the member's npy header through the zip reader, locate the raw

@@ -341,11 +341,16 @@ class Propagator:
         if not steps_list:
             raise ConfigurationError("steps_list must contain at least one entry")
         features = np.asarray(features, dtype=np.float64)
-        blocks = []
+        # Every m > 0 block is the same single-hop product, so it is built
+        # once; the m = 0 block stays the identity product (X itself would
+        # keep a -0.0 that the sparse product turns into +0.0).
+        products = {}
         for steps in steps_list:
-            operator = self.inference_matrix(steps, inference_alpha)
-            blocks.append(np.asarray(operator @ features))
-        return np.concatenate(blocks, axis=1) / len(blocks)
+            if (steps != 0) not in products:
+                operator = self.inference_matrix(steps, inference_alpha)
+                products[steps != 0] = np.asarray(operator @ features)
+        return (np.concatenate([products[steps != 0] for steps in steps_list],
+                               axis=1) / len(steps_list))
 
 
 # --------------------------------------------------------------------------- #

@@ -39,11 +39,6 @@ Expiry compares the heartbeat against this machine's wall clock, so
 machines sharing a queue need loosely synchronised clocks (NTP-level skew
 is fine for the minute-scale TTLs used here).  The clock is injectable for
 deterministic tests.
-
-Leases can carry a small JSON ``meta`` payload alongside the claim — the
-serving fleet advertises each replica's address, port and loaded model
-digests through it (see :mod:`repro.serving.fleet`); the sweep workers
-leave it empty.
 """
 
 from __future__ import annotations
@@ -52,7 +47,7 @@ import json
 import os
 import time
 import uuid
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 
 from repro.utils.fs import atomic_write_text
@@ -73,28 +68,25 @@ class Lease:
     heartbeat_at: float
     ttl: float
     nonce: str = ""
-    meta: dict = field(default_factory=dict)
 
     def to_json(self) -> str:
-        payload = {
+        return json.dumps({
             "group_id": self.group_id, "worker_id": self.worker_id,
             "acquired_at": self.acquired_at, "heartbeat_at": self.heartbeat_at,
             "ttl": self.ttl, "nonce": self.nonce,
-        }
-        if self.meta:
-            payload["meta"] = self.meta
-        return json.dumps(payload, sort_keys=True)
+        }, sort_keys=True)
 
     @classmethod
     def from_json(cls, text: str) -> "Lease":
+        """Parse a claim file; keys it does not know (such as the ``meta``
+        payload older writers added) are ignored."""
         payload = json.loads(text)
         return cls(group_id=str(payload["group_id"]),
                    worker_id=str(payload["worker_id"]),
                    acquired_at=float(payload["acquired_at"]),
                    heartbeat_at=float(payload["heartbeat_at"]),
                    ttl=float(payload["ttl"]),
-                   nonce=str(payload.get("nonce", "")),
-                   meta=dict(payload.get("meta") or {}))
+                   nonce=str(payload.get("nonce", "")))
 
 
 class LeaseManager:
@@ -113,15 +105,14 @@ class LeaseManager:
     # ------------------------------------------------------------------ #
     # claiming
     # ------------------------------------------------------------------ #
-    def acquire(self, group_id: str, worker_id: str,
-                meta: dict | None = None) -> Lease | None:
+    def acquire(self, group_id: str, worker_id: str) -> Lease | None:
         """Claim ``group_id`` for ``worker_id``; ``None`` if validly held.
 
         An expired lease is stolen (see the module docstring for the
         race-free protocol); a fresh lease held by someone else — including
         a past incarnation of this very worker id — is respected.
         """
-        lease = self._try_create(group_id, worker_id, meta)
+        lease = self._try_create(group_id, worker_id)
         if lease is not None:
             return lease
         current = self.read(group_id)
@@ -129,19 +120,18 @@ class LeaseManager:
             # The holder released (or was reaped) between our create attempt
             # and the read; try once more, then let the caller's next poll
             # retry.
-            return self._try_create(group_id, worker_id, meta)
+            return self._try_create(group_id, worker_id)
         if not self.is_expired(current):
             return None
         if not self._reap(group_id):
             return None
-        return self._try_create(group_id, worker_id, meta)
+        return self._try_create(group_id, worker_id)
 
-    def _try_create(self, group_id: str, worker_id: str,
-                    meta: dict | None = None) -> Lease | None:
+    def _try_create(self, group_id: str, worker_id: str) -> Lease | None:
         now = self.clock()
         lease = Lease(group_id=group_id, worker_id=worker_id,
                       acquired_at=now, heartbeat_at=now, ttl=self.ttl,
-                      nonce=uuid.uuid4().hex, meta=dict(meta or {}))
+                      nonce=uuid.uuid4().hex)
         self.root.mkdir(parents=True, exist_ok=True)
         try:
             handle = os.open(self.path_for(group_id),
@@ -185,16 +175,10 @@ class LeaseManager:
             return None
         return lease.worker_id
 
-    def group_ids(self) -> list[str]:
-        """Every group with a claim file under this root (sorted)."""
-        if not self.root.exists():
-            return []
-        return sorted(path.stem for path in self.root.glob("*.lease"))
-
     # ------------------------------------------------------------------ #
     # holding
     # ------------------------------------------------------------------ #
-    def heartbeat(self, lease: Lease, meta: dict | None = None) -> Lease | None:
+    def heartbeat(self, lease: Lease) -> Lease | None:
         """Refresh ``lease``; ``None`` if it was lost (stolen or released).
 
         Verified at both edges of the rewrite: the claim file must carry our
@@ -204,9 +188,6 @@ class LeaseManager:
         race-free), and is re-read *after* the atomic rename — if a stealer
         claimed the group inside the write window, the file no longer
         carries our nonce and the refresh reports the lease as lost.
-
-        ``meta`` replaces the advertised payload for this and subsequent
-        refreshes (``None`` keeps the current one).
         """
         current = self.read(lease.group_id)
         if current is None or current.worker_id != lease.worker_id \
@@ -217,8 +198,7 @@ class LeaseManager:
         refreshed = Lease(group_id=lease.group_id, worker_id=lease.worker_id,
                           acquired_at=lease.acquired_at,
                           heartbeat_at=self.clock(), ttl=lease.ttl,
-                          nonce=lease.nonce,
-                          meta=dict(lease.meta if meta is None else meta))
+                          nonce=lease.nonce)
         atomic_write_text(self.path_for(lease.group_id),
                           refreshed.to_json() + "\n")
         verify = self.read(lease.group_id)

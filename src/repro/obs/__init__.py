@@ -1,20 +1,17 @@
-"""Observability: request tracing, Prometheus exposition, fleet aggregation.
+"""Observability: request tracing and Prometheus exposition.
 
 Three stdlib-only layers over the serving and distributed subsystems:
 
 * :mod:`repro.obs.trace` — spans (``trace_id``/``span_id``/``parent_id``,
   monotonic-ns timestamps, attrs), a :class:`Tracer` with context-local
   propagation, a bounded ring :class:`TraceStore`, and the
-  ``X-Repro-Trace`` header contract that stitches a fleet-proxied predict
-  into one trace across two replicas;
+  ``X-Repro-Trace`` header contract that lets a client continue its own
+  trace into a server's;
 * :mod:`repro.obs.prometheus` — the text exposition (format 0.0.4) renderer
-  behind ``GET /metrics`` and the strict parser the aggregator and CI
-  smoke checks use;
-* :mod:`repro.obs.aggregate` — fleet-wide merging: scrape every replica,
-  fold bucket counts into one histogram per model (exact, because buckets
-  are fixed), and the ``repro trace`` tree renderer.  Imported lazily by
-  the CLI (it pulls in :mod:`repro.serving`), so it is *not* re-exported
-  here.
+  behind ``GET /metrics`` and the strict parser the CI smoke checks use;
+* :mod:`repro.obs.aggregate` — the ``repro trace`` client: fetch one
+  server's traces and render the span tree.  Imported lazily by the CLI,
+  so it is *not* re-exported here.
 
 Retention and alerting belong to whatever scrapes ``GET /metrics``: the
 latency histograms it exports are all a burn-rate rule needs (see

@@ -13,13 +13,10 @@ under the owning lock (``ServingMetrics.export`` /
 ``StageMetrics.export``) — never from live histogram objects, so a scrape
 can't observe a torn update and costs the data plane nothing.
 
-The parser is the other half the fleet aggregator needs: ``repro fleet
-status --metrics`` scrapes every replica's ``/metrics``, parses the bucket
-samples back into raw count vectors, and merges them with
-``Histogram.merge`` — possible *only* because every replica uses the same
-fixed, data-independent bucket bounds.  The parser is strict (malformed
-lines raise :class:`ValueError`), which doubles as the CI smoke check that
-the endpoint emits valid exposition text.
+The parser reads a page back into samples, and :func:`histogram_series`
+folds a histogram family's bucket samples into raw count vectors.  The
+parser is strict (malformed lines raise :class:`ValueError`), which doubles
+as the CI smoke check that the endpoint emits valid exposition text.
 """
 
 from __future__ import annotations
@@ -79,7 +76,7 @@ def _parse_labels(text: str, lineno: int) -> dict[str, str]:
 
 def format_le(edge: float) -> str:
     """A bucket edge as a ``le`` label value; round-trips through ``float``
-    so the aggregator can rebuild the exact bounds vector."""
+    so :func:`histogram_series` can rebuild the exact bounds vector."""
     return repr(float(edge))
 
 
@@ -150,12 +147,12 @@ class MetricsRenderer:
 
 
 def render_server_metrics(service, *, server=None, tracer=None) -> str:
-    """The full ``GET /metrics`` page for one replica.
+    """The full ``GET /metrics`` page of one server.
 
     ``service`` is the :class:`~repro.serving.service.InferenceService`;
     ``server`` (the :class:`~repro.serving.httpd.SelectorHTTPServer`, when
-    called from inside one) contributes connection gauges and fleet
-    counters; ``tracer`` contributes the trace-derived stage histograms.
+    called from inside one) contributes connection gauges; ``tracer``
+    contributes the trace-derived stage histograms.
     """
     from repro.obs.process import process_stats
 
@@ -265,10 +262,7 @@ def render_server_metrics(service, *, server=None, tracer=None) -> str:
         out.gauge("repro_open_connections", len(server._connections),
                   "Currently open HTTP connections.")
         out.gauge("repro_parked_requests", len(server._parked),
-                  "Connections parked on an in-flight ticket or proxy hop.")
-        for key in sorted(server.fleet_stats):
-            out.counter(f"repro_fleet_{key}_total", server.fleet_stats[key],
-                        f"Fleet routing outcomes: {key.replace('_', ' ')}.")
+                  "Connections parked on an in-flight ticket or update.")
 
     if tracer is not None:
         for stage, snapshot in tracer.stages.export().items():
@@ -287,7 +281,7 @@ def render_server_metrics(service, *, server=None, tracer=None) -> str:
 
 
 # --------------------------------------------------------------------------- #
-# parsing (the aggregator / smoke-check half)
+# parsing (the smoke-check half)
 # --------------------------------------------------------------------------- #
 def parse_prometheus_text(text: str) -> list[tuple[str, dict, float]]:
     """Parse an exposition page into ``(name, labels, value)`` samples.
@@ -323,7 +317,7 @@ def histogram_series(samples, metric: str) -> dict[tuple, dict]:
 
     Returns ``{label_items: {"bounds": [...], "counts": [...], "sum": s,
     "count": n}}`` with *raw* (de-cumulated) counts including the overflow
-    bucket — exactly what ``Histogram.merge`` takes.  ``label_items`` is the
+    bucket, the same layout as ``Histogram.counts``.  ``label_items`` is the
     sorted tuple of non-``le`` label pairs.
     """
     buckets: dict[tuple, list[tuple[float, float]]] = {}

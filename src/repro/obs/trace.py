@@ -1,6 +1,6 @@
 """Request tracing: spans, context propagation and a bounded trace store.
 
-A *trace* is one logical request — a ``/v1/predict`` hitting a replica, or a
+A *trace* is one logical request — a ``/v1/predict`` hitting a server, or a
 distributed worker executing one cell group — decomposed into *spans*: named,
 timed segments (``parse``, ``queue``, ``compute``, ...) linked by
 ``parent_id`` into a tree.  The design constraints, in order:
@@ -19,18 +19,17 @@ timed segments (``parse``, ``queue``, ``compute``, ...) linked by
    flushed out as ``incomplete`` rather than accumulating forever.
 
 Cross-process propagation uses one header, ``X-Repro-Trace:
-<trace_id>-<span_id>``: the sender puts the *calling* span's ids on the wire,
-the receiver starts its local root with that ``trace_id`` and
-``parent_id=<span_id>``, and a fleet-proxied predict becomes a single trace
-spanning two replicas.  Within a process, ``contextvars`` carry the current
-span so sequential code (the distributed worker) nests spans implicitly; the
-selector HTTP loop, which interleaves many requests on one thread, threads
-span objects through its parked-connection state explicitly instead.
+<trace_id>-<span_id>``: an instrumented client puts its *calling* span's
+ids on the wire, and the server starts its local root with that
+``trace_id`` and ``parent_id=<span_id>``.  Within a process,
+``contextvars`` carry the current span so sequential code (the distributed
+worker) nests spans implicitly; the selector HTTP loop, which interleaves
+many requests on one thread, threads span objects through its
+parked-connection state explicitly instead.
 
 Span timestamps are ``time.monotonic_ns()`` — comparable within one process
-only.  Merging spans fetched from two replicas therefore preserves the tree
-(parent links are explicit) but not a global timeline; the CLI tree renderer
-orders siblings per replica and leans on the links for nesting.
+only, so a client's spans and the server's share parent links, not a
+timeline.
 """
 
 from __future__ import annotations
@@ -91,7 +90,7 @@ class Span:
     """One named, timed segment of a trace.
 
     ``end_ns`` stays 0 while open.  ``attrs`` is a plain mutable dict the
-    instrumentation points annotate (http status, row counts, replica ids);
+    instrumentation points annotate (http status, row counts, model refs);
     values must be JSON-serialisable because ``/debug/traces`` ships them.
     """
 
@@ -263,8 +262,8 @@ class Tracer:
         with self._lock:
             self.traces_started += 1
             if span.trace_id in self._active:
-                # A second root on a live trace id (one replica proxying to
-                # itself cannot happen, but be safe): join, don't clobber.
+                # A second root on a live trace id (a client that sent one
+                # X-Repro-Trace parent on two requests): join, don't clobber.
                 self._active[span.trace_id][1].append(span)
             else:
                 if len(self._active) >= self.max_active:

@@ -5,7 +5,9 @@ budget is spent answering queries — so serving is an ordinary data plane:
 
 * :mod:`repro.serving.registry` — a content-addressed, filesystem-backed
   model registry (`publish` / `resolve` / `verify`), turning sweep artefacts
-  or live :class:`~repro.core.model.GCON` instances into versioned bundles;
+  or live :class:`~repro.core.model.GCON` instances into versioned bundles,
+  and the :class:`RegistryWatcher` that pre-warms a flipped ``@latest``
+  before retiring the old version;
 * :mod:`repro.serving.batcher` — a micro-batching request queue that
   coalesces concurrent queries into one stacked matmul;
 * :mod:`repro.serving.router` — one batch queue **per model version** (own
@@ -23,30 +25,23 @@ budget is spent answering queries — so serving is an ordinary data plane:
   :class:`SloController` that tunes each model's batch budgets to hold a
   target p99 against the live histograms, and the
   :class:`OverloadedError` admission-control signal (queue-depth load
-  shedding → HTTP 429 with ``Retry-After``);
-* :mod:`repro.serving.hashring` + :mod:`repro.serving.fleet` — the
-  replica-sharded fleet: membership via heartbeat leases on a shared
-  directory, a consistent-hash ring routing each model digest to the
-  replica whose session cache is hot, and a registry watcher that
-  pre-warms a flipped ``@latest`` before retiring the old version.
+  shedding → HTTP 429 with ``Retry-After``).
+
+One ``repro serve`` process is the serving unit: its sessions, graph stores
+and graph updates are its own, and servers share only the registry.
 """
 
 from repro.serving.batcher import BatchStats, MicroBatcher
-from repro.serving.fleet import (
-    FleetMember,
-    FleetRouter,
-    FleetStatus,
-    FleetView,
-    RegistryWatcher,
-    Replica,
-    default_replica_id,
-    watch_models,
-)
 from repro.serving.graphstore import EdgeDelta, GraphStore
-from repro.serving.hashring import HashRing
 from repro.serving.httpd import SelectorHTTPServer, serve_http
 from repro.serving.metrics import Histogram, ModelMetrics, ServingMetrics
-from repro.serving.registry import ModelRecord, ModelRegistry, parse_model_ref
+from repro.serving.registry import (
+    ModelRecord,
+    ModelRegistry,
+    RegistryWatcher,
+    parse_model_ref,
+    watch_models,
+)
 from repro.serving.router import ModelRouter
 from repro.serving.service import (
     InferenceService,
@@ -62,12 +57,7 @@ from repro.serving.slo import OverloadedError, SloController
 __all__ = [
     "BatchStats",
     "EdgeDelta",
-    "FleetMember",
-    "FleetRouter",
-    "FleetStatus",
-    "FleetView",
     "GraphStore",
-    "HashRing",
     "Histogram",
     "InferenceService",
     "MicroBatcher",
@@ -78,11 +68,9 @@ __all__ = [
     "OverloadedError",
     "PredictRequest",
     "RegistryWatcher",
-    "Replica",
     "SelectorHTTPServer",
     "ServingMetrics",
     "SloController",
-    "default_replica_id",
     "format_prediction",
     "format_prediction_body",
     "parse_graph_update_payload",

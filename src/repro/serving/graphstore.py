@@ -8,7 +8,7 @@ the feature caches above it can stay honest:
   the store was built with; every applied :class:`EdgeDelta` produces epoch
   ``n+1`` with its own :func:`~repro.core.propagation.graph_fingerprint`
   digest.  Two stores that applied the same deltas to the same graph agree
-  on digests — the fleet's epoch-agreement check compares exactly these.
+  on digests; equal epoch counters alone do not mean equal graphs.
 * **Mutation is an append-only delta log.**  A delta is a batch of edge
   inserts and deletes, applied by
   :func:`~repro.graphs.adjacency.apply_edge_delta`, the same edit behind
@@ -47,6 +47,11 @@ from repro.graphs.perturbations import sample_absent_edge, sample_present_edge
 from repro.utils.random import as_rng
 
 DEFAULT_GRAPH_HISTORY = 4
+# Sampled edges (inserts plus deletes) one update may ask for.  Sampling
+# copies the graph once per edge: on pubmed (19,717 nodes, 2 cores) 1,000
+# edges take 6-8 s, well inside the 60 s update deadline, while a larger
+# count would hold the one update slot long after its client gave up.
+MAX_SAMPLED_EDGES = 1000
 
 
 def _normalize_edges(pairs, what: str) -> tuple:
@@ -228,10 +233,15 @@ class GraphStore:
         Inserts are drawn from the current non-edges, deletes from the
         current edges, each without replacement, so the sampled batch is
         always valid to apply — the server-side sampling that lets the CLI
-        and the CI smoke drive updates without shipping an edge list.
+        and the CI smoke drive updates without shipping an edge list.  At
+        most :data:`MAX_SAMPLED_EDGES` edges in all.
         """
         if inserts < 0 or deletes < 0:
             raise ConfigurationError("sample counts must be >= 0")
+        if inserts + deletes > MAX_SAMPLED_EDGES:
+            raise ConfigurationError(
+                f"at most {MAX_SAMPLED_EDGES} sampled edges per update, got "
+                f"{inserts} inserts + {deletes} deletes")
         rng = as_rng(seed)
         with self._lock:
             base = self._graphs[self._epoch]

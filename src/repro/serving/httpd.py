@@ -17,21 +17,6 @@ request.  This frontend multiplexes every connection on **one** event loop
   immediate 503), idle sockets are reaped, and ``shutdown()`` drains
   in-flight tickets and buffered writes before returning (graceful drain).
 
-When the server is part of a fleet (``fleet=`` a
-:class:`~repro.serving.fleet.FleetRouter`), ``POST /v1/predict`` first asks
-the consistent-hash ring who owns the request's model digest.  A request
-for a peer-owned digest is *proxied* — forwarded on a short-lived worker
-thread (the loop parks the connection exactly like a batch ticket and the
-thread pokes the self-pipe when the upstream answers) — or answered with a
-``307`` redirect in redirect mode.  Forwarded requests carry an
-``X-Fleet-Forwarded`` header and are always served locally on arrival, so a
-membership disagreement can never create a proxy loop; if every routed peer
-is unreachable (a dead replica inside its lease-TTL window), the request
-falls back to local execution, which is always correct because served
-scores are bitwise-pinned to the offline reference on every replica.
-``GET /fleet`` exposes the membership census, digest routing table and
-forwarding counters.
-
 Because tickets are *polled*, never waited on, a slow model cannot stall the
 loop; the only blocking work on the loop is building a cold model session
 (first query to an unwarmed model), which ``repro serve`` avoids by warming
@@ -78,88 +63,18 @@ _TOKEN = re.compile(r"[!#$%&'*+\-.^_`|~0-9A-Za-z]+")  # RFC 9110 §5.6.2
 _WAKER = object()  # selector data marker for the self-pipe read end
 
 
-class _ProxyJob:
-    """One forwarded ``/v1/predict``: targets in failover order, one thread.
-
-    Duck-types the parked-ticket contract the event loop already speaks
-    (``done()`` + an ``on_done`` self-pipe hook): the worker thread walks the
-    target list — the ring owner, then at most one backup — relaying the
-    first upstream *response* verbatim (including upstream 4xx/5xx, which
-    are authoritative), skipping peers that are unreachable at the socket
-    level.  ``failed`` means no target answered at all; the loop then falls
-    back to local execution.
-    """
-
-    __slots__ = ("targets", "path", "body", "timeout", "trace_header",
-                 "status", "resp_body", "target_id", "failed", "on_done",
-                 "_event")
-
-    def __init__(self, targets, path: str, body: bytes, timeout: float, *,
-                 trace_header: str | None = None):
-        self.targets = list(targets)
-        self.path = path
-        self.body = body
-        self.timeout = timeout
-        self.trace_header = trace_header  # X-Repro-Trace continuation value
-        self.status: int | None = None
-        self.resp_body = b""
-        self.target_id: str | None = None
-        self.failed = False
-        self.on_done = None
-        self._event = threading.Event()
-
-    def done(self) -> bool:
-        return self._event.is_set()
-
-    def run(self) -> None:
-        import urllib.error
-        import urllib.request
-
-        headers = {"Content-Type": "application/json",
-                   "X-Fleet-Forwarded": "1", "Connection": "close"}
-        if self.trace_header:
-            # Propagate the trace: the owner's root span becomes a child of
-            # this relay's proxy span, so the forwarded predict is one trace.
-            headers[TRACE_HEADER] = self.trace_header
-        for target in self.targets:
-            request = urllib.request.Request(
-                target.base_url + self.path, data=self.body, method="POST",
-                headers=headers)
-            try:
-                with urllib.request.urlopen(request,
-                                            timeout=self.timeout) as response:
-                    self.status = int(response.status)
-                    self.resp_body = response.read()
-            except urllib.error.HTTPError as error:
-                self.status = int(error.code)
-                try:
-                    self.resp_body = error.read()
-                except OSError:
-                    self.resp_body = _render_body({"error": str(error)})
-            except (urllib.error.URLError, OSError):
-                continue  # unreachable peer: try the next routed target
-            self.target_id = target.replica_id
-            break
-        if self.status is None:
-            self.failed = True
-        self._event.set()
-        hook = self.on_done
-        if hook is not None:
-            hook()
-
-
 class _UpdateJob:
     """One admitted ``/v1/graph/update``: apply + re-propagate off-loop.
 
-    Same duck-typed parked contract as :class:`_ProxyJob` (``done()`` + an
-    ``on_done`` self-pipe hook).  The service call runs on the server's one
-    long-lived update thread (:func:`_run_updates`) because re-propagation
-    is a real computation; the event loop keeps serving predict traffic —
-    pinned to the previous epoch — meanwhile.  Updates are admitted one at
-    a time (the server rejects a second with 429 while one is in flight),
-    which keeps the epoch sequence linear.  ``run`` turns every
-    ``Exception`` into a 400 or 500, so a failed job leaves the thread
-    serving the next one.
+    Duck-types the parked-ticket contract the event loop already speaks
+    (``done()`` + an ``on_done`` self-pipe hook).  The service call runs on
+    the server's one long-lived update thread (:func:`_run_updates`)
+    because re-propagation is a real computation; the event loop keeps
+    serving predict traffic — pinned to the previous epoch — meanwhile.
+    Updates are admitted one at a time (the server rejects a second with
+    429 while one is in flight), which keeps the epoch sequence linear.
+    ``run`` turns every ``Exception`` into a 400 or 500, so a failed job
+    leaves the thread serving the next one.
     """
 
     __slots__ = ("service", "kwargs", "result", "error", "status",
@@ -229,12 +144,9 @@ class SelectorHTTPServer:
                  max_connections: int = 512, request_timeout: float = 30.0,
                  idle_timeout: float = 120.0, drain_timeout: float = 5.0,
                  stats_interval: float | None = None, log_stream=None,
-                 fleet=None, tracer: Tracer | None = None):
+                 tracer: Tracer | None = None):
         self.service = service
         self.tracer = tracer  # a repro.obs.trace.Tracer, or None (untraced)
-        self.fleet = fleet  # a FleetRouter, or None outside a fleet
-        self.fleet_stats = {"proxied": 0, "redirected": 0,
-                            "failover_local": 0, "received_forwards": 0}
         self.max_connections = int(max_connections)
         self.request_timeout = float(request_timeout)
         self.idle_timeout = float(idle_timeout)
@@ -296,8 +208,7 @@ class SelectorHTTPServer:
                     shed = sum(dict(self.service.shed_counts).values())
                     print(f"[serve] stats: "
                           f"{self.service.batcher.metrics.summary_line()} | "
-                          f"shed={shed} "
-                          f"proxied={self.fleet_stats['proxied']}",
+                          f"shed={shed}",
                           file=stream, flush=True)
                     next_stats = now + self.stats_interval
             self._drain()
@@ -449,9 +360,6 @@ class SelectorHTTPServer:
                     status, payload = 404, {"error": f"unknown path {path!r}"}
                 else:
                     span = self._start_predict_trace(headers)
-                    if self._maybe_forward(conn, path, headers, body,
-                                           keep_alive, span):
-                        return  # proxied/redirected to the owning replica
                     self._submit_predict(conn, body, keep_alive, span)
                     return  # parked (the completion pass responds) or errored
             else:
@@ -496,11 +404,6 @@ class SelectorHTTPServer:
                  "inference": record.manifest.get("inference", {})}
                 for record in self.service.registry.list()
             ]}
-        if path == "/fleet":
-            if self.fleet is None:
-                return 200, {"enabled": False}
-            return 200, {"enabled": True, **self.fleet.as_dict(),
-                         "stats": dict(self.fleet_stats)}
         return 404, {"error": f"unknown path {path!r}"}
 
     def _serve_metrics(self, conn: _Connection, keep_alive: bool) -> None:
@@ -524,19 +427,16 @@ class SelectorHTTPServer:
     # ------------------------------------------------------------------ #
     def _start_predict_trace(self, headers: dict, name: str = "predict"):
         """Open the request's root span, continuing an ``X-Repro-Trace``
-        parent when the caller (a fleet peer, or an instrumented client)
-        sent one.  Returns ``None`` when tracing is off."""
+        parent when an instrumented client sent one.  Returns ``None`` when
+        tracing is off."""
         if self.tracer is None:
             return None
-        attrs = {}
-        if self.fleet is not None:
-            attrs["replica"] = self.fleet.replica_id
         parent = parse_trace_header(headers.get(TRACE_HEADER.lower()))
         if parent is not None:
             trace_id, parent_id = parent
             return self.tracer.start_trace(name, trace_id=trace_id,
-                                           parent_id=parent_id, attrs=attrs)
-        return self.tracer.start_trace(name, attrs=attrs)
+                                           parent_id=parent_id)
+        return self.tracer.start_trace(name)
 
     def _finish_trace(self, span, status: int) -> None:
         """End the request's root span with its HTTP outcome (idempotent)."""
@@ -574,109 +474,6 @@ class SelectorHTTPServer:
         if span is None:
             return None
         return {TRACE_HEADER: format_trace_header(span)}
-
-    # ------------------------------------------------------------------ #
-    # fleet routing (proxy / redirect to the digest's owning replica)
-    # ------------------------------------------------------------------ #
-    def _maybe_forward(self, conn: _Connection, path: str, headers: dict,
-                       body: bytes, keep_alive: bool, span=None) -> bool:
-        """Route to the owning peer; False = serve locally.
-
-        Local service is the universal fallback: unparseable bodies and
-        unresolvable refs fall through so the local path produces its usual
-        400s, forwarded requests (``X-Fleet-Forwarded``) terminate here by
-        contract (no proxy loops), and an empty peer list means this
-        replica owns the digest — or is the last one standing.
-        """
-        if self.fleet is None:
-            return False
-        if headers.get("x-fleet-forwarded"):
-            self.fleet_stats["received_forwards"] += 1
-            return False
-        try:
-            ref = json.loads(body or b"{}").get("model")
-            if not ref or not isinstance(ref, str):
-                return False
-            digest = self.service.registry.resolve(ref).digest
-            peers = self.fleet.peers_for(digest)
-        except Exception:
-            return False
-        if not peers:
-            return False
-        if not self.fleet.proxy:
-            target = peers[0]
-            location = target.base_url + path
-            self.fleet_stats["redirected"] += 1
-            self._log_request(conn, "POST", path, 307)
-            if span is not None:
-                span.attrs["redirect"] = target.replica_id
-            self._finish_trace(span, 307)
-            self._respond(conn, 307,
-                          {"redirect": location, "owner": target.replica_id},
-                          keep_alive=keep_alive,
-                          extra_headers={"Location": location})
-            return True
-        proxy_span = None
-        trace_header = None
-        if span is not None:
-            proxy_span = self.tracer.start_span(
-                "proxy", parent=span,
-                attrs={"targets": [target.replica_id for target in peers]})
-            trace_header = format_trace_header(proxy_span)
-        job = _ProxyJob(peers, path, body, self.fleet.proxy_timeout,
-                        trace_header=trace_header)
-        conn.pending = {
-            "proxy": job, "path": path, "body": body, "keep_alive": keep_alive,
-            "deadline": time.monotonic() + self.request_timeout,
-            "span": span, "proxy_span": proxy_span,
-        }
-        self._parked.add(conn)
-        job.on_done = self._wake
-        self.fleet_stats["proxied"] += 1
-        threading.Thread(target=job.run, name="fleet-proxy",
-                         daemon=True).start()
-        return True
-
-    def _complete_proxy(self, conn: _Connection, entry: dict,
-                        now: float) -> None:
-        job = entry["proxy"]
-        span = entry.get("span")
-        proxy_span = entry.get("proxy_span")
-        if job.done():
-            self._parked.discard(conn)
-            conn.pending = None
-            if job.failed:
-                if proxy_span is not None:
-                    proxy_span.attrs["failover"] = True
-                    self.tracer.end(proxy_span, status="error")
-                # Every routed peer unreachable (dead replica inside its
-                # TTL window): any replica can serve any model bitwise, so
-                # execute locally rather than failing the request.
-                self.fleet_stats["failover_local"] += 1
-                self._submit_predict(conn, entry["body"],
-                                     entry["keep_alive"], span)
-                return
-            if proxy_span is not None:
-                proxy_span.attrs["target"] = job.target_id
-                proxy_span.attrs["http_status"] = int(job.status)
-                self.tracer.end(proxy_span)
-            self._finish_trace(span, job.status)
-            self._log_request(conn, "POST", entry["path"], job.status)
-            self._respond_body(conn, job.status, job.resp_body,
-                               keep_alive=entry["keep_alive"],
-                               extra_headers=self._trace_echo_headers(span))
-            if conn.sock in self._connections:
-                self._process_input(conn)
-        elif now >= entry["deadline"]:
-            self._parked.discard(conn)
-            conn.pending = None
-            if proxy_span is not None:
-                self.tracer.end(proxy_span, status="error")
-            self._finish_trace(span, 503)
-            self._log_request(conn, "POST", entry["path"], 503)
-            self._respond(conn, 503,
-                          {"error": "fleet proxy timed out"},
-                          keep_alive=False)
 
     # ------------------------------------------------------------------ #
     # live graph mutation (POST /v1/graph/update)
@@ -861,9 +658,6 @@ class SelectorHTTPServer:
             if entry is None:  # connection died while parked
                 self._parked.discard(conn)
                 continue
-            if "proxy" in entry:
-                self._complete_proxy(conn, entry, now)
-                continue
             if "graph_update" in entry:
                 self._complete_graph_update(conn, entry, now)
                 continue
@@ -1003,8 +797,7 @@ class SelectorHTTPServer:
 # --------------------------------------------------------------------------- #
 # HTTP framing helpers (module-level: pure bytes in, bytes out)
 # --------------------------------------------------------------------------- #
-_REASONS = {200: "OK", 307: "Temporary Redirect",
-            400: "Bad Request", 404: "Not Found",
+_REASONS = {200: "OK", 400: "Bad Request", 404: "Not Found",
             405: "Method Not Allowed", 408: "Request Timeout",
             413: "Payload Too Large", 429: "Too Many Requests",
             431: "Request Header Fields Too Large",
@@ -1101,16 +894,15 @@ def serve_http(service: InferenceService, host: str = "127.0.0.1",
                port: int = 8151, *, log_stream=None,
                max_connections: int = 512,
                stats_interval: float | None = None,
-               fleet=None, tracer: Tracer | None = None,
+               tracer: Tracer | None = None,
                trace: bool = True) -> SelectorHTTPServer:
     """Bind a :class:`SelectorHTTPServer`; the caller runs ``serve_forever()``.
 
     ``port=0`` binds an ephemeral port (read it back from
     ``server.server_address[1]`` — the tests do).  The service's router is
     started so every model's queue coalesces on its own dispatch thread.
-    ``fleet`` (a :class:`~repro.serving.fleet.FleetRouter`) turns on
-    digest-sharded routing and the ``/fleet`` endpoint.  Tracing is on by
-    default (``trace=False`` disables it; an explicit ``tracer`` wins).
+    Tracing is on by default (``trace=False`` disables it; an explicit
+    ``tracer`` wins).
     """
     service.start()
     if tracer is None and trace:
@@ -1118,5 +910,4 @@ def serve_http(service: InferenceService, host: str = "127.0.0.1",
     return SelectorHTTPServer((host, port), service,
                               max_connections=max_connections,
                               stats_interval=stats_interval,
-                              log_stream=log_stream, fleet=fleet,
-                              tracer=tracer)
+                              log_stream=log_stream, tracer=tracer)

@@ -7,8 +7,8 @@ shape observable without touching the hot path beyond a few integer bumps:
 * :class:`Histogram` — fixed, pre-computed buckets (log-spaced for seconds,
   power-of-two for sizes), counts only.  Percentiles are read back with
   linear interpolation inside the winning bucket, the standard
-  Prometheus-style estimate: cheap, bounded error, and mergeable across
-  models or replicas because buckets never depend on the data.
+  Prometheus-style estimate: cheap, bounded error, and comparable across
+  models and scrapes because buckets never depend on the data.
 * :class:`ModelMetrics` — one model's request-latency histogram plus
   batch-size (tickets and rows per matmul), queue-depth distributions and
   failure count.
@@ -26,7 +26,7 @@ from __future__ import annotations
 import threading
 
 # Request latencies: 40 log-spaced buckets, 10 µs .. ~84 s (factor 1.5).
-# Fixed at import time so histograms from different models/replicas merge.
+# Fixed at import time, so every model's histogram shares the same bounds.
 LATENCY_BUCKETS: tuple[float, ...] = tuple(
     1e-5 * (1.5 ** i) for i in range(40))
 # Sizes (rows, tickets, queue depths): powers of two up to 64 Ki.
@@ -111,40 +111,6 @@ class Histogram:
             else:
                 lo = mid + 1
         return lo
-
-    def merge(self, counts, *, total: float = 0.0) -> "Histogram":
-        """Fold a raw bucket-count vector into this histogram.
-
-        ``counts`` must have one entry per bucket — ``len(bounds) + 1``
-        including the overflow bucket, or ``len(bounds)`` when the source
-        had nothing above the last edge.  This is how the fleet aggregator
-        combines replicas: the merge is exact because every replica buckets
-        into the same fixed bounds.  The observed extrema are widened to
-        the merged data's bucket *edges* (the true min/max did not travel),
-        keeping :meth:`quantile`'s clamping sound after a merge.
-        """
-        counts = [int(value) for value in counts]
-        if len(counts) == len(self.bounds):
-            counts.append(0)
-        if len(counts) != len(self.bounds) + 1:
-            raise ValueError(
-                f"counts must have {len(self.bounds) + 1} buckets "
-                f"(or {len(self.bounds)} without overflow), got {len(counts)}")
-        if any(value < 0 for value in counts):
-            raise ValueError("bucket counts must be non-negative")
-        merged = sum(counts)
-        if merged == 0:
-            return self
-        for index, value in enumerate(counts):
-            self.counts[index] += value
-        self.count += merged
-        self.total += float(total)
-        first = next(i for i, value in enumerate(counts) if value)
-        last = next(i for i in range(len(counts) - 1, -1, -1) if counts[i])
-        self.min = min(self.min,
-                       self.bounds[first - 1] if first > 0 else 0.0)
-        self.max = max(self.max, self.bounds[min(last, len(self.bounds) - 1)])
-        return self
 
     def snapshot(self) -> dict:
         """Raw state for the Prometheus renderer: bounds, a counts *copy*,

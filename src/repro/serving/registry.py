@@ -25,6 +25,10 @@ All writes are atomic (temp file + rename, via
 :func:`~repro.utils.fs.atomic_write_text`), and the manifest is written
 *after* the archive so a crash never leaves a resolvable-but-torn version:
 readers only see versions whose manifest exists.
+
+A :class:`RegistryWatcher` polls the ``latest.json`` pointers a server
+serves from and hot-reloads a flipped version (``repro serve
+--reload-interval``).
 """
 
 from __future__ import annotations
@@ -32,6 +36,7 @@ from __future__ import annotations
 import json
 import math
 import os
+import threading
 import time
 import zipfile
 from dataclasses import dataclass
@@ -227,7 +232,7 @@ class ModelRegistry:
         With ``mmap=True`` the bundle's arrays are memory-mapped read-only
         (``np.load``-style ``mmap_mode="r"`` semantics, implemented for the
         uncompressed ``.npz`` members the registry writes) instead of
-        copied: replica cold-start touches no array bytes until inference
+        copied: server cold-start touches no array bytes until inference
         does, and version directories are immutable (content-addressed), so
         a mapped bundle can never change underneath a running session.
         Scores from a mapped model are bitwise identical to an eager load.
@@ -306,3 +311,90 @@ class ModelRegistry:
                 f"integrity check failed for {record.ref}: stored archive "
                 f"hashes to {actual[:12]}, manifest claims {record.digest[:12]}")
         return record
+
+
+class RegistryWatcher:
+    """Hot-reload: poll ``latest.json`` per served name, pre-warm then retire.
+
+    Each poll resolves every watched name's ``@latest``; on a flip the new
+    version's session is built immediately (so the next ``@latest`` request
+    hits a warm cache — ``InferenceService`` resolves ``@latest`` per call,
+    so traffic switches by itself) and the superseded version's sessions
+    and queues are retired afterwards, so a rollout never pays a cold build
+    on a live request and ``@latest`` traffic flips with zero downtime.
+    """
+
+    def __init__(self, registry: ModelRegistry, service, names, *,
+                 interval: float = 1.0):
+        self.registry = registry
+        self.service = service
+        self.names = list(dict.fromkeys(names))
+        self.interval = float(interval)
+        self._latest: dict[str, str] = {}
+        self._stop = threading.Event()
+        self._thread: threading.Thread | None = None
+        self.flips = 0
+        # Prime with what is currently @latest so startup (the serve command
+        # already pre-warmed its models) does not count as a rollout.
+        for name in self.names:
+            digest = self._current_digest(name)
+            if digest is not None:
+                self._latest[name] = digest
+
+    def _current_digest(self, name: str) -> str | None:
+        try:
+            return self.registry.resolve(f"{name}@latest").digest
+        except ConfigurationError:
+            return None  # not published yet (or torn); check again next poll
+
+    def poll_once(self) -> list[tuple[str, str | None, str]]:
+        """One poll pass; returns the ``(name, old, new)`` flips handled."""
+        flips = []
+        for name in self.names:
+            new = self._current_digest(name)
+            old = self._latest.get(name)
+            if new is None or new == old:
+                continue
+            # Pre-warm first: the expensive session build happens here, off
+            # the request path, while old-version traffic keeps flowing.
+            self.service.prewarm(f"{name}@{new}")
+            self._latest[name] = new
+            if old is not None and old not in self._latest.values():
+                self.service.retire_version(old)
+            self.flips += 1
+            flips.append((name, old, new))
+        return flips
+
+    # -- lifecycle ------------------------------------------------------ #
+    def start(self) -> "RegistryWatcher":
+        if self._thread is None:
+            self._thread = threading.Thread(target=self._run,
+                                            name="registry-watcher",
+                                            daemon=True)
+            self._thread.start()
+        return self
+
+    def _run(self) -> None:
+        while not self._stop.wait(self.interval):
+            try:
+                self.poll_once()
+            except Exception:  # noqa: BLE001 - a torn publish mid-poll must
+                pass           # not kill the watcher; next poll retries.
+
+    def close(self) -> None:
+        self._stop.set()
+        if self._thread is not None:
+            self._thread.join(timeout=2.0)
+            self._thread = None
+
+    def __enter__(self) -> "RegistryWatcher":
+        return self
+
+    def __exit__(self, *exc_info) -> None:
+        self.close()
+
+
+def watch_models(service, refs, **kwargs) -> RegistryWatcher:
+    """A watcher over the *names* behind ``refs`` (``name@version`` → name)."""
+    names = [parse_model_ref(ref)[0] for ref in refs]
+    return RegistryWatcher(service.registry, service, names, **kwargs)

@@ -198,9 +198,6 @@ class InferenceService:
             "rows_recomputed": 0,
             "rows_reused": 0,
         }
-        # Called with the update result dict after every applied graph
-        # update (the serve command re-advertises fleet epochs here).
-        self.on_graph_update = None
         self.started_at = time.time()
 
     def attach_slo(self, controller) -> None:
@@ -288,8 +285,8 @@ class InferenceService:
         return next(iter(stores.values()))
 
     def graph_epochs(self) -> dict[str, int]:
-        """Current epoch per loaded graph — what a fleet replica advertises
-        on its membership lease next to its model digests."""
+        """Current epoch per loaded graph (``/stats``, ``/healthz`` and
+        ``/metrics`` report it)."""
         with self._graph_lock:
             stores = dict(self._graphs)
         return {key: store.epoch for key, store in sorted(stores.items())}
@@ -522,13 +519,10 @@ class InferenceService:
                 "repropagate": (apply_end, repropagate_end),
             },
         }
-        hook = self.on_graph_update
-        if hook is not None:
-            hook(result)
         return result
 
     # ------------------------------------------------------------------ #
-    # hot-reload hooks (used by the fleet's registry watcher)
+    # hot-reload hooks (used by the registry watcher)
     # ------------------------------------------------------------------ #
     def prewarm(self, ref: str, mode: str | None = None):
         """Build (or refresh) the session for ``ref`` and return its record.
@@ -546,7 +540,7 @@ class InferenceService:
         The rolling-rollout back half: once the watcher has pre-warmed the
         new version, the old one's sessions are evicted and their dispatch
         queues flushed+stopped (in-flight tickets complete first — see
-        ``ModelRouter.retire``), so a long-lived replica does not keep one
+        ``ModelRouter.retire``), so a long-lived server does not keep one
         thread and one feature matrix per superseded publish.  Returns the
         number of sessions retired.
         """
@@ -558,8 +552,8 @@ class InferenceService:
         return len(keys)
 
     def loaded_digests(self) -> list[str]:
-        """Distinct content digests with a live session, sorted — what a
-        fleet replica advertises on its membership lease."""
+        """Distinct content digests with a live session, sorted (the
+        ``repro_sessions_loaded`` gauge counts them)."""
         with self._lock:
             return sorted({key[0] for key in self._sessions})
 

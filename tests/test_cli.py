@@ -6,9 +6,11 @@ settings so every sub-command runs in seconds; output is captured via capsys.
 
 from __future__ import annotations
 
+import argparse
 import os
 import subprocess
 import sys
+import threading
 from pathlib import Path
 
 import pytest
@@ -227,3 +229,114 @@ class TestPublishServeCommands:
         help_text = build_parser().format_help()
         assert "publish" in help_text
         assert "serve" in help_text
+
+
+def _subcommand(name: str) -> argparse.ArgumentParser:
+    choices = next(action.choices for action in build_parser()._actions
+                   if isinstance(action, argparse._SubParsersAction))
+    return choices[name]
+
+
+class TestServingSurface:
+    """One ``repro serve`` process is the serving unit: no fleet command,
+    no fleet flags, and ``repro trace`` reads one server."""
+
+    SERVE = ["serve", "--registry", "r", "--model", "m"]
+
+    def test_serve_takes_fifteen_flags(self):
+        flags = {option for action in _subcommand("serve")._actions
+                 if not isinstance(action, argparse._HelpAction)
+                 for option in action.option_strings}
+        assert flags == {
+            "--registry", "--model", "--host", "--port", "--batch-size",
+            "--max-latency-ms", "--max-connections", "--stats-interval",
+            "--slo-p99-ms", "--static-batching", "--max-queue-depth",
+            "--no-mmap", "--reload-interval", "--quiet", "--no-trace"}
+
+    @pytest.mark.parametrize("flag", [
+        ["--fleet-dir", "fleet"], ["--advertise", "127.0.0.1:8151"],
+        ["--replica-id", "r0"], ["--fleet-ttl", "5"], ["--fleet-redirect"]],
+        ids=lambda flag: flag[0])
+    def test_retired_fleet_flag_is_an_argument_error(self, flag, capsys):
+        with pytest.raises(SystemExit) as excinfo:
+            build_parser().parse_args([*self.SERVE, *flag])
+        assert excinfo.value.code == 2
+        assert f"unrecognized arguments: {flag[0]}" \
+            in capsys.readouterr().err
+
+    def test_fleet_command_is_gone(self, capsys):
+        with pytest.raises(SystemExit) as excinfo:
+            main(["fleet", "status", "--fleet-dir", "fleet"])
+        assert excinfo.value.code == 2
+        assert "invalid choice: 'fleet'" in capsys.readouterr().err
+
+    def test_trace_url_is_one_string(self):
+        args = build_parser().parse_args(
+            ["trace", "--url", "http://127.0.0.1:8151"])
+        assert args.url == "http://127.0.0.1:8151"
+        assert args.trace_id is None and args.limit == 10
+
+    def test_trace_needs_a_url(self, capsys):
+        with pytest.raises(SystemExit) as excinfo:
+            build_parser().parse_args(["trace", "0" * 32])
+        assert excinfo.value.code == 2
+        assert "--url" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("flag", ["--sample-insert", "--sample-delete"])
+    def test_sampling_flags_state_the_server_limit(self, flag):
+        from repro.serving.graphstore import MAX_SAMPLED_EDGES
+
+        graph = next(action.choices for action in _subcommand("graph")._actions
+                     if isinstance(action, argparse._SubParsersAction))
+        (action,) = [action for action in graph["update"]._actions
+                     if flag in action.option_strings]
+        assert str(MAX_SAMPLED_EDGES) in action.help
+
+
+class TestServeCommand:
+    """``repro serve`` up to its loop: warm, bind, start the watcher, and
+    stop every thread it started on the way out."""
+
+    @pytest.fixture(scope="class")
+    def registry_dir(self, tmp_path_factory):
+        from repro.core.config import GCONConfig
+        from repro.core.model import GCON
+        from repro.graphs.datasets import load_dataset
+        from repro.serving import ModelRegistry
+
+        graph = load_dataset("cora_ml", scale=0.06, seed=0)
+        config = GCONConfig(epsilon=2.0, alpha=0.8, encoder_epochs=20,
+                            encoder_dim=8, encoder_hidden=16)
+        root = tmp_path_factory.mktemp("serve") / "reg"
+        ModelRegistry(root).publish(
+            GCON(config).fit(graph, seed=7), "demo",
+            inference_mode="private",
+            training={"dataset": "cora_ml", "scale": 0.06, "graph_seed": 0})
+        return root
+
+    @pytest.mark.parametrize("reload_args, watching", [
+        ([], True), (["--reload-interval", "0"], False)],
+        ids=["default-reload", "reload-off"])
+    def test_serve_runs_and_stops_its_threads(self, registry_dir,
+                                              monkeypatch, capsys,
+                                              reload_args, watching):
+        from repro.serving.httpd import SelectorHTTPServer
+
+        seen = {}
+
+        def interrupted(server, poll_interval=0.05):
+            seen["threads"] = {thread.name
+                               for thread in threading.enumerate()}
+            raise KeyboardInterrupt
+
+        monkeypatch.setattr(SelectorHTTPServer, "serve_forever", interrupted)
+        exit_code = main(["serve", "--registry", str(registry_dir),
+                          "--model", "demo@latest", "--port", "0",
+                          "--quiet", *reload_args])
+        assert exit_code == 0
+        banner = capsys.readouterr().err.strip().splitlines()[-1]
+        assert banner.startswith("serving demo@")
+        assert "on http://127.0.0.1:" in banner
+        assert ("registry-watcher" in seen["threads"]) is watching
+        assert "registry-watcher" not in {
+            thread.name for thread in threading.enumerate()}

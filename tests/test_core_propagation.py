@@ -355,3 +355,91 @@ class TestSharedRecursionMatchesPerStep:
         propagator.propagate_concat(features, [2, 3])
         assert cache.stats["features"] == {"hits": 1, "misses": 3}
         assert cache.info()["features"]["entries"] == 3
+
+
+# --------------------------------------------------------------------------- #
+# one Eq. (16) product == the per-block products it replaced
+# --------------------------------------------------------------------------- #
+def _per_block_inference_oracle(adjacency, features, steps_list,
+                                inference_alpha: float) -> np.ndarray:
+    """Private-inference features (Eq. 16) as computed before the shared
+    product: one operator and one product per entry of ``steps_list``.
+    Kept here as the bitwise oracle."""
+    transition = row_stochastic_normalize(adjacency, add_loops=True)
+    identity = sp.identity(transition.shape[0], format="csr")
+    blocks = []
+    for steps in steps_list:
+        operator = identity if steps == 0 else (
+            (1.0 - inference_alpha) * transition
+            + inference_alpha * identity).tocsr()
+        blocks.append(np.asarray(operator @ features))
+    return np.concatenate(blocks, axis=1) / len(blocks)
+
+
+class TestInferenceConcatMatchesPerBlock:
+    @given(seed=st.integers(0, 10_000), nodes=st.integers(2, 30),
+           density=st.floats(0.0, 0.5), steps_list=_STEPS_LISTS,
+           inference_alpha=st.sampled_from([0.0, 0.25, 0.5, 1.0]))
+    @settings(max_examples=60, deadline=None)
+    def test_bitwise_equal_to_the_per_block_loop(self, seed, nodes, density,
+                                                 steps_list, inference_alpha):
+        adjacency = _random_adjacency(seed, nodes, density)
+        rng = np.random.default_rng(seed + 1)
+        features = rng.normal(size=(nodes, 3))
+        # Signed zeros: the identity product turns -0.0 into +0.0, so an
+        # m = 0 block that copied X would differ here.
+        features[rng.random(features.shape) < 0.2] = -0.0
+        expected = _per_block_inference_oracle(adjacency, features,
+                                               steps_list, inference_alpha)
+        actual = Propagator(adjacency, 0.5).inference_concat(
+            features, steps_list, inference_alpha)
+        assert _bitwise_equal(actual, expected)
+
+    def test_builds_one_operator_per_kind_of_block(self, tiny_graph,
+                                                   monkeypatch):
+        propagator = Propagator(tiny_graph.adjacency, alpha=0.5)
+        built = []
+        build = propagator.inference_matrix
+
+        def counting(steps, inference_alpha):
+            built.append(steps)
+            return build(steps, inference_alpha)
+
+        monkeypatch.setattr(propagator, "inference_matrix", counting)
+        features = np.random.default_rng(0).normal(
+            size=(tiny_graph.num_nodes, 4))
+        out = propagator.inference_concat(features, [4, 0, 2, 4, 0], 0.3)
+        assert out.shape == (tiny_graph.num_nodes, 20)
+        # One identity product and one Eq. (16) product serve all five blocks.
+        assert sorted(step != 0 for step in built) == [False, True]
+
+    @pytest.mark.parametrize("steps_list", [
+        [0], [3], [0, 0], [2, 0, 1], [math.inf, 1], [4, 4, 4]],
+        ids=lambda steps_list: "-".join(map(str, steps_list)))
+    def test_named_steps_lists_equal_the_per_block_loop(self, tiny_graph,
+                                                        steps_list):
+        # The property above draws such lists at random; these shapes (only
+        # the identity, repeats, unsorted, infinite m) are pinned outright.
+        features = np.random.default_rng(3).normal(
+            size=(tiny_graph.num_nodes, 5))
+        features[::7, 1] = -0.0
+        expected = _per_block_inference_oracle(tiny_graph.adjacency,
+                                               features, steps_list, 0.3)
+        actual = Propagator(tiny_graph.adjacency, alpha=0.5).inference_concat(
+            features, steps_list, 0.3)
+        assert _bitwise_equal(actual, expected)
+
+    def test_zero_block_is_the_identity_product_not_a_copy(
+            self, triangle_adjacency):
+        features = np.array([[-0.0, 1.0], [2.0, -0.0],
+                             [-0.0, -0.0], [3.0, 4.0]])
+        out = Propagator(triangle_adjacency, alpha=0.5).inference_concat(
+            features, [0], 0.3)
+        assert np.array_equal(out, features)
+        assert not np.signbit(out).any()  # the sparse product drops -0.0
+        assert np.signbit(features).sum() == 4
+
+    def test_empty_steps_list_is_rejected(self, triangle_adjacency):
+        with pytest.raises(ConfigurationError, match="at least one entry"):
+            Propagator(triangle_adjacency, alpha=0.5).inference_concat(
+                np.ones((4, 2)), [], 0.3)

@@ -15,6 +15,7 @@ import pytest
 from repro.distributed import (
     Coordinator,
     DistributedWorker,
+    Lease,
     LeaseManager,
     SweepSpec,
     WorkQueue,
@@ -302,19 +303,6 @@ class TestLeases:
         with pytest.raises(ValueError):
             LeaseManager(tmp_path, ttl=0.0)
 
-    def test_meta_payload_round_trips_and_heartbeat_carries_it(self, tmp_path):
-        clock = FakeClock()
-        manager = LeaseManager(tmp_path, ttl=10.0, clock=clock)
-        lease = manager.acquire("g1", "alice", meta={"host": "h", "port": 1})
-        assert manager.read("g1").meta == {"host": "h", "port": 1}
-        clock.advance(1.0)
-        refreshed = manager.heartbeat(lease, meta={"host": "h", "port": 2})
-        assert refreshed is not None
-        assert manager.read("g1").meta == {"host": "h", "port": 2}
-        clock.advance(1.0)
-        assert manager.heartbeat(refreshed) is not None  # keeps the meta
-        assert manager.read("g1").meta == {"host": "h", "port": 2}
-
     def test_pre_nonce_lease_files_still_parse(self, tmp_path):
         # Claim files written before acquisition nonces existed must keep
         # reading (a rolling upgrade shares the queue with old workers).
@@ -325,15 +313,51 @@ class TestLeases:
             "heartbeat_at": 1000.0, "ttl": 10.0}))
         lease = manager.read("g1")
         assert lease is not None
-        assert lease.nonce == "" and lease.meta == {}
+        assert lease.nonce == ""
         assert manager.holder("g1") == "alice"
 
-    def test_group_ids_lists_claim_files(self, tmp_path):
-        manager = LeaseManager(tmp_path, ttl=10.0, clock=FakeClock())
-        assert manager.group_ids() == []
-        manager.acquire("g2", "alice")
-        manager.acquire("g1", "bob")
-        assert manager.group_ids() == ["g1", "g2"]
+    def test_lease_files_with_a_meta_payload_still_parse(self, tmp_path):
+        # Claim files once carried a "meta" payload; a file that still has
+        # one reads as a plain claim, and rewriting it drops the key.
+        clock = FakeClock()
+        manager = LeaseManager(tmp_path, ttl=10.0, clock=clock)
+        manager.path_for("g1").parent.mkdir(parents=True, exist_ok=True)
+        manager.path_for("g1").write_text(json.dumps({
+            "group_id": "g1", "worker_id": "alice", "acquired_at": 1000.0,
+            "heartbeat_at": 1000.0, "ttl": 10.0, "nonce": "n1",
+            "meta": {"host": "h", "port": 1}}))
+        lease = manager.read("g1")
+        assert lease is not None and lease.nonce == "n1"
+        assert manager.holder("g1") == "alice"
+        clock.advance(1.0)
+        assert manager.heartbeat(lease) is not None
+        assert "meta" not in json.loads(
+            manager.path_for("g1").read_text())
+
+    def test_claim_files_hold_exactly_the_claim_fields(self, tmp_path):
+        clock = FakeClock()
+        manager = LeaseManager(tmp_path, ttl=10.0, clock=clock)
+        lease = manager.acquire("g1", "alice")
+        fields = {"group_id", "worker_id", "acquired_at", "heartbeat_at",
+                  "ttl", "nonce"}
+        assert set(json.loads(manager.path_for("g1").read_text())) == fields
+        clock.advance(1.0)
+        refreshed = manager.heartbeat(lease)
+        assert set(json.loads(manager.path_for("g1").read_text())) == fields
+        assert Lease.from_json(refreshed.to_json()) == refreshed
+
+    @pytest.mark.parametrize("extra", [
+        {"meta": None}, {"meta": {"host": "h", "port": 1}},
+        {"written_by": ["a", "later", "version"]}],
+        ids=["null-meta", "meta", "unknown-key"])
+    def test_unknown_claim_keys_are_ignored(self, extra):
+        claim = {"group_id": "g1", "worker_id": "alice",
+                 "acquired_at": 1000.0, "heartbeat_at": 1001.0,
+                 "ttl": 10.0, "nonce": "n1"}
+        assert Lease.from_json(json.dumps({**claim, **extra})) \
+            == Lease.from_json(json.dumps(claim)) \
+            == Lease(group_id="g1", worker_id="alice", acquired_at=1000.0,
+                     heartbeat_at=1001.0, ttl=10.0, nonce="n1")
 
 
 class TestLeaseRaces:

@@ -13,7 +13,9 @@ These claims are pinned:
   page names exists in that tree, so a deleted command or flag cannot
   linger in the reference;
 * the ``le`` bucket ``docs/observability.md`` gives for an external
-  burn-rate rule is the one ``/metrics`` exports for the default target.
+  burn-rate rule is the one ``/metrics`` exports for the default target;
+* the per-update sampling cap ``docs/cli.md`` and ``docs/graph-updates.md``
+  state is the store's ``MAX_SAMPLED_EDGES``.
 """
 
 from __future__ import annotations
@@ -137,6 +139,18 @@ def test_observability_doc_names_the_exported_slo_bucket():
                                         args.slo_p99_ms / 1e3) - 1]
     doc = (REPO_ROOT / "docs" / "observability.md").read_text(encoding="utf-8")
     assert f'le="{format_le(edge)}"' in doc
+
+
+@pytest.mark.parametrize("page", ["cli.md", "graph-updates.md"])
+def test_docs_state_the_sampling_limit(page):
+    """The per-update cap on server-sampled edges is stated as the store
+    enforces it."""
+    from repro.serving.graphstore import MAX_SAMPLED_EDGES
+
+    doc = " ".join((REPO_ROOT / "docs" / page).read_text(
+        encoding="utf-8").split())
+    assert f"One update samples at most {MAX_SAMPLED_EDGES} edges, " \
+        "inserts and deletes together" in doc
 
 
 def test_readme_links_into_docs():

@@ -1,6 +1,6 @@
-"""End-to-end observability over HTTP: /metrics exposition, request traces
-(including one trace spanning a fleet proxy hop), the /stats process
-section, the bitwise pin under tracing, and the ``repro trace`` CLI."""
+"""End-to-end observability over HTTP: /metrics exposition, request traces,
+the /stats process section, the bitwise pin under tracing, and the
+``repro trace`` CLI."""
 
 from __future__ import annotations
 
@@ -16,16 +16,9 @@ from repro.cli.main import main
 from repro.core.config import GCONConfig
 from repro.core.model import GCON
 from repro.graphs.datasets import load_dataset
-from repro.obs.aggregate import fleet_metrics_report
 from repro.obs.prometheus import histogram_series, parse_prometheus_text
 from repro.obs.trace import TRACE_HEADER
-from repro.serving import (
-    FleetMember,
-    FleetRouter,
-    InferenceService,
-    ModelRegistry,
-    serve_http,
-)
+from repro.serving import InferenceService, ModelRegistry, serve_http
 
 
 @pytest.fixture(scope="module")
@@ -51,22 +44,14 @@ def registry_dir(tmp_path_factory, model):
 
 
 class _Server:
-    """One in-process traced server; optionally a fleet member."""
+    """One in-process server, traced unless ``trace=False``."""
 
-    def __init__(self, registry_dir, graph, *, trace=True,
-                 fleet_dir=None, rid=None, ttl=5.0):
+    def __init__(self, registry_dir, graph, *, trace=True):
         self.service = InferenceService(ModelRegistry(registry_dir),
                                         graph=graph)
         self.service.prewarm("demo@latest")
         self.server = serve_http(self.service, port=0, trace=trace)
         self.port = self.server.server_address[1]
-        self.member = None
-        if fleet_dir is not None:
-            self.member = FleetMember(fleet_dir, rid, "127.0.0.1", self.port,
-                                      ttl=ttl)
-            self.member.join(self.service.loaded_digests())
-            self.member.start()
-            self.server.fleet = FleetRouter(self.member, cache_ttl=0.0)
         self.thread = threading.Thread(target=self.server.serve_forever,
                                        daemon=True)
         self.thread.start()
@@ -76,20 +61,16 @@ class _Server:
         return f"http://127.0.0.1:{self.port}"
 
     def close(self):
-        if self.member is not None:
-            self.member.leave()
         self.server.shutdown()
         self.server.server_close()
         self.service.close()
 
 
-def _predict(port, payload, *, forwarded=False):
+def _predict(port, payload):
     request = urllib.request.Request(
         f"http://127.0.0.1:{port}/v1/predict",
         data=json.dumps(payload).encode(),
         headers={"Content-Type": "application/json"})
-    if forwarded:
-        request.add_header("X-Fleet-Forwarded", "1")
     with urllib.request.urlopen(request, timeout=30.0) as response:
         return (response.status, json.loads(response.read()),
                 response.headers.get(TRACE_HEADER))
@@ -215,7 +196,7 @@ class TestSingleServer:
         assert f"trace {trace_id}" in tree
         assert "predict" in tree and "compute" in tree
         assert main(["trace", "0" * 32, "--url", server.url]) == 1
-        assert "not found on any replica" in capsys.readouterr().err
+        assert f"not found on {server.url}" in capsys.readouterr().err
 
 
 class TestUntraced:
@@ -247,94 +228,3 @@ class TestUntraced:
         finally:
             traced.close()
             untraced.close()
-
-
-@pytest.fixture()
-def fleet(registry_dir, graph, tmp_path):
-    servers = [_Server(registry_dir, graph, fleet_dir=tmp_path / "fleet",
-                       rid=f"r{i}") for i in range(2)]
-    registry = ModelRegistry(registry_dir)
-    digest = registry.resolve("demo@latest").digest
-    owner_id = servers[0].server.fleet.view.owner(digest).replica_id
-    by_id = {s.member.replica_id: s for s in servers}
-    owner = by_id.pop(owner_id)
-    (relay,) = by_id.values()
-    yield {"owner": owner, "relay": relay, "servers": servers}
-    for server in servers:
-        server.close()
-
-
-class TestFleetTraces:
-    def test_proxied_predict_is_one_cross_replica_trace(self, fleet):
-        owner, relay = fleet["owner"], fleet["relay"]
-        status, _body, header = _predict(relay.port,
-                                         {"model": "demo", "nodes": [0, 5]})
-        assert status == 200
-        assert relay.server.fleet_stats["proxied"] == 1
-        trace_id = header.split("-")[0]
-        # Each replica stores its own half under the same trace id.
-        _s, relay_raw, _ = _get(relay.port, f"/debug/traces/{trace_id}")
-        _s, owner_raw, _ = _get(owner.port, f"/debug/traces/{trace_id}")
-        relay_spans = json.loads(relay_raw)["spans"]
-        owner_spans = json.loads(owner_raw)["spans"]
-        assert {span["trace_id"] for span in relay_spans + owner_spans} \
-            == {trace_id}
-        relay_by_name = {span["name"]: span for span in relay_spans}
-        proxy = relay_by_name["proxy"]
-        assert proxy["parent_id"] == relay_by_name["predict"]["span_id"]
-        assert proxy["attrs"]["http_status"] == 200
-        # The owner's root predict span hangs off the relay's proxy hop.
-        owner_root = owner_spans[0]
-        assert owner_root["name"] == "predict"
-        assert owner_root["parent_id"] == proxy["span_id"]
-        owner_names = {span["name"] for span in owner_spans}
-        assert {"parse", "admission", "queue", "batch", "compute",
-                "render"} <= owner_names
-
-    def test_trace_cli_merges_the_two_halves(self, fleet, capsys):
-        owner, relay = fleet["owner"], fleet["relay"]
-        _status, _body, header = _predict(relay.port,
-                                          {"model": "demo", "nodes": [1]})
-        trace_id = header.split("-")[0]
-        assert main(["trace", trace_id,
-                     "--url", relay.url, "--url", owner.url]) == 0
-        tree = capsys.readouterr().out
-        assert "proxy" in tree and "compute" in tree
-        # The owner's subtree is nested under the relay's proxy span.
-        lines = tree.splitlines()
-        proxy_line = next(line for line in lines if "proxy" in line)
-        compute_line = next(line for line in lines if "compute" in line)
-        assert compute_line.index("compute") > proxy_line.index("proxy")
-
-    def test_fleet_metrics_report_merges_replicas(self, fleet):
-        owner, relay = fleet["owner"], fleet["relay"]
-        _predict(owner.port, {"model": "demo", "nodes": [0]})
-        # A forwarded request terminates locally on the relay, so both
-        # replicas record latency for the model.
-        _predict(relay.port, {"model": "demo", "nodes": [1]},
-                 forwarded=True)
-        replicas = [(server.member.replica_id, server.url)
-                    for server in fleet["servers"]]
-        deadline = time.monotonic() + 5.0
-        while True:
-            report = fleet_metrics_report(replicas)
-            lines = [line for line in report.splitlines()
-                     if "demo@" in line]
-            if lines and int(lines[0].split()[1]) == 2:
-                break
-            assert time.monotonic() < deadline, report
-            time.sleep(0.05)
-        assert "scraped 2/2" in report
-        assert "p99 ms" in report
-        (model_line,) = lines
-        assert int(model_line.split()[2]) >= 2  # merged request count
-
-    def test_fleet_report_survives_an_unreachable_replica(self, fleet):
-        owner = fleet["owner"]
-        _predict(owner.port, {"model": "demo", "nodes": [0]})
-        report = fleet_metrics_report([
-            (owner.member.replica_id, owner.url),
-            ("ghost", "http://127.0.0.1:9"),  # discard port: refused
-        ])
-        assert "scraped 1/2" in report
-        assert "ghost" in report and "unreachable" in report

@@ -1,6 +1,5 @@
 """Tests for Prometheus exposition: render, strict parse, round-trip, the
-latency bucket an external SLO rule reads, and the fleet-wide histogram
-merge + trace tree rendering."""
+latency bucket an external SLO rule reads, and trace tree rendering."""
 
 from __future__ import annotations
 
@@ -11,11 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.obs.aggregate import (
-    merge_latency_histograms,
-    render_trace_list,
-    render_trace_tree,
-)
+from repro.obs.aggregate import render_trace_list, render_trace_tree
 from repro.obs.prometheus import (
     PROMETHEUS_CONTENT_TYPE,
     MetricsRenderer,
@@ -347,48 +342,6 @@ class TestSloRuleInputs:
         assert burn == pytest.approx(2.0)
 
 
-class TestFleetMerge:
-    def _page(self, values, model="demo"):
-        hist = Histogram(LATENCY_BUCKETS)
-        for value in values:
-            hist.observe(value)
-        out = MetricsRenderer()
-        out.histogram("repro_request_latency_seconds", _snapshot(hist),
-                      "Latency.", {"model": model})
-        return parse_prometheus_text(out.render())
-
-    def test_merge_across_replicas_is_exact(self):
-        values = [0.001 * (i + 1) for i in range(100)]
-        left = self._page(values[::2])
-        right = self._page(values[1::2])
-        merged, replicas = merge_latency_histograms([left, right])
-        assert replicas == {"demo": 2}
-        whole = Histogram(LATENCY_BUCKETS)
-        for value in values:
-            whole.observe(value)
-        assert merged["demo"].counts == whole.counts
-        assert merged["demo"].count == 100
-        for q in (0.5, 0.95, 0.99):
-            assert whole.quantile(q) / 1.5 <= merged["demo"].quantile(q) \
-                <= whole.quantile(q) * 1.5
-
-    def test_models_stay_separate(self):
-        merged, replicas = merge_latency_histograms(
-            [self._page([0.001], model="a"), self._page([1.0], model="b")])
-        assert set(merged) == {"a", "b"}
-        assert replicas == {"a": 1, "b": 1}
-
-    def test_mismatched_bounds_refuse_to_merge(self):
-        hist = Histogram(bounds=(1.0, 2.0))
-        hist.observe(1.5)
-        out = MetricsRenderer()
-        out.histogram("repro_request_latency_seconds", _snapshot(hist),
-                      "L.", {"model": "demo"})
-        odd = parse_prometheus_text(out.render())
-        with pytest.raises(ValueError, match="bucket bounds disagree"):
-            merge_latency_histograms([self._page([0.1]), odd])
-
-
 class TestTraceRendering:
     def test_tree_nests_by_parent_links(self):
         spans = [
@@ -423,9 +376,9 @@ class TestTraceRendering:
 
     def test_list_renders_rows_and_errors(self):
         text = render_trace_list([
-            {"server": "http://a", "trace_id": "t1", "root": "predict",
-             "span_count": 3, "duration_ms": 1.25},
-            {"server": "http://b", "error": "connection refused"},
+            {"trace_id": "t1", "root": "predict", "span_count": 3,
+             "duration_ms": 1.25},
+            {"error": "http://b: connection refused"},
         ])
-        assert "t1" in text and "predict" in text and "http://a" in text
+        assert "t1" in text and "predict" in text and "1.250" in text
         assert "!! http://b: connection refused" in text

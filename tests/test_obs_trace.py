@@ -58,7 +58,7 @@ class TestIdsAndHeader:
         assert parse_trace_header(garbage) is None
 
     def test_header_name_is_stable(self):
-        # The wire contract the fleet proxy and CI smoke job rely on.
+        # The wire contract clients and the CI smoke job rely on.
         assert TRACE_HEADER == "X-Repro-Trace"
 
 
@@ -87,14 +87,14 @@ class TestTracerSpans:
     def test_explicit_parent_threading(self):
         # The selector-loop form: no contextvars, spans threaded by hand.
         tracer = Tracer(clock_ns=FakeClock())
-        root = tracer.start_trace("predict", attrs={"replica": "r0"})
-        child = tracer.start_span("proxy", parent=root)
+        root = tracer.start_trace("predict", attrs={"model": "demo"})
+        child = tracer.start_span("compute", parent=root)
         tracer.end(child)
         tracer.end(root)
         trace = tracer.store.get(root.trace_id)
         spans = {span["name"]: span for span in trace["spans"]}
-        assert spans["proxy"]["parent_id"] == root.span_id
-        assert spans["predict"]["attrs"] == {"replica": "r0"}
+        assert spans["compute"]["parent_id"] == root.span_id
+        assert spans["predict"]["attrs"] == {"model": "demo"}
 
     def test_remote_parent_continues_the_trace(self):
         tracer = Tracer(clock_ns=FakeClock())

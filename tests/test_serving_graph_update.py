@@ -7,13 +7,13 @@ The two load-bearing claims of the versioned-graph refactor:
   pinned to an older epoch (explicitly, or in flight when the update
   landed) keep scoring against *their* epoch — no torn reads;
 * the control surfaces (``POST /v1/graph/update``, ``GET /v1/graph/status``,
-  fleet lease epochs, ``/metrics`` gauges) tell the truth about which epoch
-  each replica serves.
+  ``/metrics`` gauges) tell the truth about which epoch the server serves.
 """
 
 from __future__ import annotations
 
 import json
+import socket
 import threading
 import urllib.error
 import urllib.request
@@ -26,13 +26,13 @@ from repro.core.model import GCON
 from repro.exceptions import ConfigurationError, GraphDataError
 from repro.graphs.datasets import load_dataset
 from repro.serving import (
-    FleetMember,
-    FleetView,
     InferenceService,
     ModelRegistry,
+    graphstore,
     parse_graph_update_payload,
     serve_http,
 )
+from repro.serving.graphstore import MAX_SAMPLED_EDGES
 
 
 @pytest.fixture(scope="module")
@@ -70,6 +70,24 @@ def server(service):
     server.shutdown()
     server.server_close()
     service.close()
+
+
+@pytest.fixture()
+def sampled(monkeypatch):
+    """Counts the store's calls to ``sample_absent_edge``; past a handful it
+    raises, so an unbounded sampling loop fails the test instead of running
+    for hours."""
+    calls = []
+    sample = graphstore.sample_absent_edge
+
+    def counting(graph, rng):
+        calls.append(1)
+        if len(calls) > 5:
+            raise RuntimeError("sampling ran past the update's limit")
+        return sample(graph, rng)
+
+    monkeypatch.setattr(graphstore, "sample_absent_edge", counting)
+    return calls
 
 
 def _http(server, path, body=None, timeout=30.0):
@@ -192,11 +210,20 @@ class TestServiceGraphUpdate:
         with pytest.raises(ConfigurationError, match="unknown graph"):
             service.apply_graph_update(sample_insert=1, graph="nope")
 
-    def test_update_hook_fires_with_the_result(self, service):
-        seen = []
-        service.on_graph_update = seen.append
-        service.apply_graph_update(sample_insert=1, seed=1)
-        assert [event["epoch"] for event in seen] == [1]
+    def test_sampling_past_the_limit_is_rejected_before_sampling(
+            self, service, sampled):
+        with pytest.raises(ConfigurationError,
+                           match=f"at most {MAX_SAMPLED_EDGES} sampled"):
+            service.apply_graph_update(sample_insert=10 ** 9)
+        with pytest.raises(ConfigurationError,
+                           match=f"at most {MAX_SAMPLED_EDGES} sampled"):
+            service.apply_graph_update(sample_insert=MAX_SAMPLED_EDGES,
+                                       sample_delete=1)
+        assert sampled == []
+        assert service.graph_epochs() == {"default": 0}
+        result = service.apply_graph_update(sample_insert=2, seed=3)
+        assert result["epoch"] == 1 and result["inserted"] == 2
+        assert len(sampled) == 2
 
     def test_graph_status_and_health_expose_epochs(self, service, graph):
         service.predict_scores("demo", [0])
@@ -339,6 +366,19 @@ class TestHttpSurface:
         assert status == 400
         assert fragment in body["error"]
 
+    def test_oversized_sampling_is_400_and_the_next_update_applies(
+            self, server, service, sampled):
+        status, body = _http(server, "/v1/graph/update",
+                             {"sample_insert": 1000000000})
+        assert status == 400
+        assert f"at most {MAX_SAMPLED_EDGES} sampled edges" in body["error"]
+        assert sampled == []
+        assert service.graph_epochs() == {"default": 0}
+        status, body = _http(server, "/v1/graph/update",
+                             {"sample_insert": 2, "seed": 3})
+        assert status == 200
+        assert body["epoch"] == 1
+
     def test_second_concurrent_update_is_shed_with_429(self, server):
         class _Stuck:
             def done(self):
@@ -446,33 +486,51 @@ class TestHttpSurface:
         assert "repro_propagation_cache_entries" in text
 
 
-class TestFleetEpochAgreement:
-    def test_lease_carries_graph_epochs(self, tmp_path):
-        fleet_dir = tmp_path / "fleet"
-        member = FleetMember(fleet_dir, "r0", "127.0.0.1", 8100, ttl=30.0)
-        member.join(["d" * 64], graph_epochs={"default": 2})
-        replica = FleetView(fleet_dir).replicas()[0]
-        assert replica.graph_epochs == (("default", 2),)
-        assert replica.as_dict()["graph_epochs"] == {"default": 2}
-        member.advertise(["d" * 64], graph_epochs={"default": 3})
-        replica = FleetView(fleet_dir).replicas()[0]
-        assert replica.graph_epochs == (("default", 3),)
+class TestGraphUpdateCommand:
+    """``repro graph update`` against one server: what it sends, and how
+    each refusal reads."""
 
-    def test_view_and_summary_report_agreement(self, tmp_path):
-        fleet_dir = tmp_path / "fleet"
-        first = FleetMember(fleet_dir, "r0", "127.0.0.1", 8100, ttl=30.0)
-        first.join([], graph_epochs={"default": 4})
-        second = FleetMember(fleet_dir, "r1", "127.0.0.1", 8200, ttl=30.0)
-        second.join([], graph_epochs={"default": 4})
-        view = FleetView(fleet_dir)
-        agreement = view.as_dict()["graph_epochs"]
-        assert agreement["default"] == {"epochs": [4], "agreed": True}
-        summary = view.status().summary()
-        assert "agreed @e4" in summary
+    @staticmethod
+    def _url(server) -> str:
+        return f"http://127.0.0.1:{server.server_address[1]}"
 
-        second.advertise([], graph_epochs={"default": 5})
-        view = FleetView(fleet_dir)
-        agreement = view.as_dict()["graph_epochs"]
-        assert agreement["default"]["agreed"] is False
-        assert sorted(agreement["default"]["epochs"]) == [4, 5]
-        assert "DISAGREE" in view.status().summary()
+    def test_oversized_sampling_is_refused_and_the_epoch_stays(
+            self, server, service, sampled, capsys):
+        from repro.cli.main import main
+
+        url = self._url(server)
+        assert main(["graph", "update", "--server", url,
+                     "--sample-insert", "600", "--sample-delete", "401"]) == 1
+        assert capsys.readouterr().err.strip() == (
+            f"graph update failed (400): at most {MAX_SAMPLED_EDGES} "
+            f"sampled edges per update, got 600 inserts + 401 deletes")
+        assert sampled == []
+        assert service.graph_epochs() == {"default": 0}
+        assert main(["graph", "update", "--server", url,
+                     "--sample-insert", "2", "--seed", "3"]) == 0
+        assert capsys.readouterr().out.startswith("graph default: epoch 0 -> 1")
+        assert len(sampled) == 2
+
+    def test_an_empty_update_is_refused_before_any_request(self, capsys):
+        from repro.cli.main import main
+
+        assert main(["graph", "update", "--server", "http://127.0.0.1:9"]) == 2
+        assert "nothing to apply" in capsys.readouterr().err
+
+    def test_a_malformed_edge_is_refused_before_any_request(self, capsys):
+        from repro.cli.main import main
+
+        assert main(["graph", "update", "--server", "http://127.0.0.1:9",
+                     "--insert", "1:x"]) == 2
+        assert capsys.readouterr().err.startswith("graph update failed: ")
+
+    def test_an_unreachable_server_is_named(self, capsys):
+        from repro.cli.main import main
+
+        with socket.socket() as probe:  # a port nothing listens on
+            probe.bind(("127.0.0.1", 0))
+            url = f"http://127.0.0.1:{probe.getsockname()[1]}"
+        assert main(["graph", "update", "--server", url,
+                     "--sample-insert", "1"]) == 1
+        assert f"graph update failed: {url} unreachable" \
+            in capsys.readouterr().err

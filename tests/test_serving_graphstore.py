@@ -10,13 +10,30 @@ from hypothesis import strategies as st
 
 from repro.core.propagation import graph_fingerprint
 from repro.exceptions import ConfigurationError, GraphDataError
+from repro.graphs.adjacency import build_adjacency
+from repro.graphs.graph import GraphDataset
 from repro.graphs.perturbations import sample_absent_edge, sample_present_edge
-from repro.serving import EdgeDelta, GraphStore
+from repro.serving import EdgeDelta, GraphStore, graphstore
+from repro.serving.graphstore import MAX_SAMPLED_EDGES
 
 
 @pytest.fixture()
 def store(tiny_graph):
     return GraphStore(tiny_graph, key="tiny")
+
+
+@pytest.fixture(scope="module")
+def dense_graph():
+    """90 nodes and 1,500 edges: room to sample the full limit of inserts
+    (2,505 non-edges) or of deletes."""
+    rng = np.random.default_rng(11)
+    pairs = np.array([(u, v) for u in range(90) for v in range(u + 1, 90)])
+    edges = pairs[rng.choice(len(pairs), size=1500, replace=False)]
+    nodes = np.arange(90)
+    return GraphDataset(adjacency=build_adjacency(edges, 90),
+                        features=np.eye(90), labels=nodes % 2,
+                        train_idx=nodes[:30], val_idx=nodes[30:60],
+                        test_idx=nodes[60:], name="dense90")
 
 
 def _absent(graph, seed=0):
@@ -118,8 +135,8 @@ class TestApply:
     @settings(max_examples=15, deadline=None)
     def test_batch_digest_matches_an_edge_by_edge_replay(
             self, edit_graphs, name, seed, inserts, deletes):
-        """What the perfbench replay gate and fleet epoch agreement compare:
-        one batched apply hashes like the same edges applied one by one."""
+        """What the perfbench replay gate compares: one batched apply
+        hashes like the same edges applied one by one."""
         assume(inserts + deletes > 0)
         graph = edit_graphs[name]
         store = GraphStore(graph)
@@ -187,6 +204,37 @@ class TestSampleDelta:
     def test_negative_counts_rejected(self, store):
         with pytest.raises(ConfigurationError):
             store.sample_delta(inserts=-1)
+
+    @pytest.mark.parametrize("inserts, deletes", [
+        (MAX_SAMPLED_EDGES + 1, 0), (0, MAX_SAMPLED_EDGES + 1),
+        (MAX_SAMPLED_EDGES, 1), (10 ** 9, 10 ** 9)])
+    def test_counts_past_the_limit_are_rejected_before_sampling(
+            self, store, monkeypatch, inserts, deletes):
+        def never(graph, rng):
+            raise AssertionError("sampled an edge past the limit")
+
+        monkeypatch.setattr(graphstore, "sample_absent_edge", never)
+        monkeypatch.setattr(graphstore, "sample_present_edge", never)
+        with pytest.raises(ConfigurationError,
+                           match=f"at most {MAX_SAMPLED_EDGES} sampled edges "
+                                 f"per update, got {inserts} inserts "
+                                 f"\\+ {deletes} deletes"):
+            store.sample_delta(inserts=inserts, deletes=deletes)
+        assert store.epoch == 0
+
+    @pytest.mark.parametrize("inserts, deletes", [
+        (MAX_SAMPLED_EDGES, 0), (0, MAX_SAMPLED_EDGES), (600, 400)])
+    def test_counts_at_the_limit_sample_a_valid_delta(
+            self, dense_graph, inserts, deletes):
+        store = GraphStore(dense_graph, key="dense")
+        delta = store.sample_delta(inserts=inserts, deletes=deletes, seed=5)
+        assert (len(delta.inserts), len(delta.deletes)) == (inserts, deletes)
+        adjacency = dense_graph.adjacency
+        assert all(adjacency[u, v] == 0 for u, v in delta.inserts)
+        assert all(adjacency[u, v] == 1 for u, v in delta.deletes)
+        assert store.apply(delta)["epoch"] == 1
+        assert store.graph_at(1).num_edges \
+            == dense_graph.num_edges + inserts - deletes
 
 
 class TestStatus:

@@ -3,11 +3,15 @@ bounded connections, graceful drain)."""
 
 from __future__ import annotations
 
+import io
 import json
+import re
 import socket
 import threading
+import time
 import urllib.request
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -16,6 +20,7 @@ from repro.core.config import GCONConfig
 from repro.core.model import GCON
 from repro.exceptions import ConfigurationError
 from repro.graphs.datasets import load_dataset
+from repro.obs.prometheus import parse_prometheus_text
 from repro.serving import (
     InferenceService,
     ModelRegistry,
@@ -405,6 +410,76 @@ class TestHttpFraming:
         responses = _raw(server, b"GET /alerts HTTP/1.1\r\n"
                                  b"Connection: close\r\n\r\n")
         assert _status(responses[0]) == 404
+
+    def test_retired_fleet_endpoint_is_404(self, server):
+        responses = _raw(server, b"GET /fleet HTTP/1.1\r\n"
+                                 b"Connection: close\r\n\r\n")
+        assert _status(responses[0]) == 404
+
+
+def _predict_request(body: dict, *extra_headers: bytes) -> bytes:
+    data = json.dumps(body).encode()
+    return (b"POST /v1/predict HTTP/1.1\r\n" + b"".join(extra_headers)
+            + b"Content-Length: %d\r\nConnection: close\r\n\r\n%s"
+            % (len(data), data))
+
+
+def _await_line(stream: io.StringIO, pattern: str,
+                timeout: float = 10.0) -> str:
+    """The first line of ``stream`` matching ``pattern`` in full, waiting
+    up to ``timeout`` seconds for the server thread to write it."""
+    deadline = time.monotonic() + timeout
+    while True:
+        for line in stream.getvalue().splitlines():
+            if re.fullmatch(pattern, line):
+                return line
+        assert time.monotonic() < deadline, \
+            f"no line matched {pattern!r}; last written: " \
+            f"{stream.getvalue()[-300:]!r}"
+        time.sleep(0.01)
+
+
+class TestOneProcess:
+    """Every request is answered by the process that took it: nothing is
+    routed on, and no routing state is reported."""
+
+    def test_a_request_marked_as_forwarded_is_served_here(self, server,
+                                                         model, graph):
+        nodes = [0, 3, 7]
+        (response,) = _raw(server, _predict_request(
+            {"model": "demo", "nodes": nodes}, b"X-Fleet-Forwarded: 1\r\n"))
+        assert _status(response) == 200
+        offline = model.decision_scores(graph, mode="private")[nodes]
+        assert np.array_equal(np.asarray(_body(response)["scores"]), offline)
+
+    def test_metrics_export_connection_gauges_and_no_routing_counters(
+            self, server):
+        (response,) = _raw(server, b"GET /metrics HTTP/1.1\r\n"
+                                   b"Connection: close\r\n\r\n")
+        text = response.split(b"\r\n\r\n", 1)[1].decode()
+        names = {name for name, _labels, _value
+                 in parse_prometheus_text(text)}
+        assert {"repro_open_connections", "repro_parked_requests"} <= names
+        assert not [name for name in names if "fleet" in name]
+
+    def test_stats_line_names_each_model_and_the_shed_count(self, service):
+        stream = io.StringIO()
+        server = serve_http(service, port=0, log_stream=stream,
+                            stats_interval=0.05)
+        thread = threading.Thread(target=server.serve_forever, daemon=True)
+        thread.start()
+        try:
+            _await_line(stream, r"\[serve\] stats: no traffic yet \| shed=0")
+            (response,) = _raw(server, _predict_request(
+                {"model": "demo", "nodes": [1]}))
+            assert _status(response) == 200
+            _await_line(stream, r"\[serve\] stats: demo@[0-9a-f]+:\S+: n=1 "
+                                r"p50=[0-9.]+ms p95=[0-9.]+ms p99=[0-9.]+ms "
+                                r"\| shed=0")
+        finally:
+            server.shutdown()
+            server.server_close()
+            service.close()
 
 
 class TestConnectionBounds:

@@ -77,60 +77,6 @@ class TestHistogram:
         assert Histogram().quantile(0.0) == 0.0
         assert Histogram().quantile(1.0) == 0.0
 
-    def test_merge_folds_counts_and_keeps_quantiles_sound(self):
-        source = Histogram()
-        for value in (0.001, 0.004, 0.040):
-            source.observe(value)
-        target = Histogram()
-        target.observe(0.002)
-        target.merge(source.counts, total=source.total)
-        assert target.count == 4
-        assert target.total == pytest.approx(0.047)
-        # Extrema widen to the merged buckets' edges, so quantile clamping
-        # stays sound on a histogram that never observed directly.
-        assert target.min <= 0.001
-        assert target.max >= 0.040
-        assert target.quantile(0.0) == target.min
-        assert target.quantile(1.0) == target.max
-        assert 0.0 < target.quantile(0.5) <= target.max
-
-    def test_merge_into_empty_histogram(self):
-        source = Histogram()
-        source.observe(0.010)
-        merged = Histogram().merge(source.counts, total=source.total)
-        assert merged.count == 1
-        assert merged.quantile(0.99) > 0.0
-        assert merged.quantile(0.0) <= 0.010 <= merged.quantile(1.0) * 1.5
-
-    def test_merge_accepts_missing_overflow_and_rejects_bad_shapes(self):
-        hist = Histogram(bounds=(1.0, 2.0))
-        hist.merge([1, 1])  # no overflow entry: assumed empty
-        assert hist.count == 2
-        with pytest.raises(ValueError):
-            hist.merge([1])
-        with pytest.raises(ValueError):
-            hist.merge([1, -1, 0])
-
-    def test_merge_identity_with_observed_distribution(self):
-        # Splitting a stream across two replicas and merging reproduces the
-        # single-histogram quantiles exactly: counts are counts.
-        values = [0.001 * (i + 1) for i in range(100)]
-        whole, left, right = Histogram(), Histogram(), Histogram()
-        for index, value in enumerate(values):
-            whole.observe(value)
-            (left if index % 2 else right).observe(value)
-        merged = Histogram()
-        merged.merge(left.counts, total=left.total)
-        merged.merge(right.counts, total=right.total)
-        assert merged.counts == whole.counts
-        assert merged.count == whole.count
-        # Same counts => same interpolated estimate, up to the clamping
-        # difference (merged extrema are bucket edges, not exact values):
-        # both land in the same bucket, so they agree within its width.
-        for q in (0.5, 0.95, 0.99):
-            assert whole.quantile(q) / 1.5 <= merged.quantile(q) \
-                <= whole.quantile(q) * 1.5
-
     def test_snapshot_is_a_copy(self):
         hist = Histogram()
         hist.observe(0.003)

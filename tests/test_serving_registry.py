@@ -1,8 +1,11 @@
-"""Tests for the content-addressed model registry."""
+"""Tests for the content-addressed model registry and its hot-reload
+watcher."""
 
 from __future__ import annotations
 
+import http.client
 import json
+import threading
 
 import numpy as np
 import pytest
@@ -12,7 +15,14 @@ from repro.core.model import GCON
 from repro.core.persistence import release_arrays, release_digest
 from repro.exceptions import ConfigurationError
 from repro.graphs.datasets import load_dataset
-from repro.serving import ModelRegistry, parse_model_ref
+from repro.serving import (
+    InferenceService,
+    ModelRegistry,
+    RegistryWatcher,
+    parse_model_ref,
+    serve_http,
+    watch_models,
+)
 
 
 @pytest.fixture(scope="module")
@@ -265,3 +275,183 @@ class TestAmbiguousDigestPrefix:
         assert record.digest == "deadbeef" + "0" * 56
         record = registry.resolve("demo@deadbeef1")
         assert record.digest == "deadbeef" + "1" * 56
+
+
+class TestRegistryWatcher:
+    @pytest.fixture()
+    def setup(self, tmp_path, model, graph):
+        registry = ModelRegistry(tmp_path / "reg")
+        training = {"dataset": "cora_ml", "scale": 0.06, "graph_seed": 0}
+        record = registry.publish(model, "demo", inference_mode="private",
+                                  training=training)
+        service = InferenceService(registry, graph=graph)
+        service.prewarm("demo@latest")
+        yield registry, service, record, training
+        service.close()
+
+    def test_primed_watcher_reports_no_flip_at_startup(self, setup):
+        registry, service, _record, _training = setup
+        watcher = RegistryWatcher(registry, service, ["demo"])
+        assert watcher.poll_once() == []
+        assert watcher.flips == 0
+
+    def test_flip_prewarms_new_and_retires_old(self, setup, other_model,
+                                               graph):
+        registry, service, record, training = setup
+        watcher = RegistryWatcher(registry, service, ["demo"])
+        new_record = registry.publish(other_model, "demo",
+                                      inference_mode="private",
+                                      training=training)
+        flips = watcher.poll_once()
+        assert flips == [("demo", record.digest, new_record.digest)]
+        assert watcher.flips == 1
+        loaded = service.loaded_digests()
+        assert new_record.digest in loaded
+        assert record.digest not in loaded  # old sessions retired
+        # @latest traffic now resolves to the new version, bitwise equal to
+        # its offline reference — the serving layers never change numbers.
+        nodes = [0, 5, 9]
+        served = service.predict_scores("demo@latest", nodes)
+        offline = other_model.decision_scores(graph, mode="private")[nodes]
+        assert np.array_equal(served, offline)
+        # A second poll is quiescent.
+        assert watcher.poll_once() == []
+
+    def test_pinned_versions_survive_the_flip(self, setup, other_model,
+                                              model, graph):
+        registry, service, record, training = setup
+        watcher = RegistryWatcher(registry, service, ["demo"])
+        registry.publish(other_model, "demo", inference_mode="private",
+                         training=training)
+        watcher.poll_once()
+        # Pinning the superseded digest still works: retire only dropped the
+        # warm sessions, not the registry bundle.
+        nodes = [1, 2]
+        pinned = service.predict_scores(f"demo@{record.digest}", nodes)
+        offline = model.decision_scores(graph, mode="private")[nodes]
+        assert np.array_equal(pinned, offline)
+
+    def test_watch_models_watches_each_name_once(self, setup):
+        _registry, service, record, _training = setup
+        watcher = watch_models(service, ["demo@latest",
+                                         f"demo@{record.digest[:12]}",
+                                         "demo"], interval=0.5)
+        assert watcher.names == ["demo"]
+        assert watcher.interval == 0.5
+        assert watcher.registry is service.registry
+        assert watcher.poll_once() == []
+
+    def test_a_name_published_after_startup_is_picked_up(
+            self, setup, other_model):
+        registry, service, record, training = setup
+        watcher = RegistryWatcher(registry, service, ["demo", "fresh"])
+        assert watcher.poll_once() == []  # nothing under "fresh" yet
+        fresh = registry.publish(other_model, "fresh",
+                                 inference_mode="private", training=training)
+        assert watcher.poll_once() == [("fresh", None, fresh.digest)]
+        # A first publish retires nothing: "demo" keeps its warm session.
+        assert service.loaded_digests() == sorted([record.digest,
+                                                   fresh.digest])
+
+    def test_a_digest_another_name_still_serves_stays_warm(
+            self, setup, model, other_model):
+        registry, service, record, training = setup
+        twin = registry.publish(model, "twin", inference_mode="private",
+                                training=training)
+        assert twin.digest == record.digest
+        watcher = RegistryWatcher(registry, service, ["demo", "twin"])
+        new_record = registry.publish(other_model, "demo",
+                                      inference_mode="private",
+                                      training=training)
+        assert watcher.poll_once() == [("demo", record.digest,
+                                        new_record.digest)]
+        assert service.loaded_digests() == sorted([record.digest,
+                                                   new_record.digest])
+
+    def test_background_polls_outlive_a_failed_pass(self, setup):
+        registry, service, _record, _training = setup
+        watcher = RegistryWatcher(registry, service, ["demo"],
+                                  interval=0.01)
+        passes = []
+        second_pass = threading.Event()
+
+        def poll_once():
+            passes.append(1)
+            if len(passes) == 1:
+                raise ConfigurationError("torn latest.json")
+            second_pass.set()
+            return []
+
+        watcher.poll_once = poll_once
+        with watcher.start():
+            assert watcher.start()._thread.is_alive()  # start is idempotent
+            assert second_pass.wait(10.0)
+        assert watcher._thread is None
+        watcher.close()  # closing twice is harmless
+
+    def test_latest_flips_under_live_traffic_with_zero_errors(
+            self, setup, model, other_model, graph):
+        """A client keeps posting ``@latest`` predicts while a second
+        version is published and the watcher polls: every answer is a 200,
+        and every request sent after the poll returned is answered by the
+        new version, bitwise equal to its offline scores."""
+        registry, service, record, training = setup
+        watcher = RegistryWatcher(registry, service, ["demo"])
+        server = serve_http(service, port=0)
+        loop = threading.Thread(target=server.serve_forever, daemon=True)
+        loop.start()
+        nodes = [0, 5, 9]
+        body = json.dumps({"model": "demo@latest", "nodes": nodes})
+        answers = []  # (sent after the flip?, status, payload)
+        answered = threading.Event()
+        flipped = threading.Event()
+        stop = threading.Event()
+
+        def client():
+            connection = http.client.HTTPConnection(
+                "127.0.0.1", server.server_address[1], timeout=30.0)
+            try:
+                after_flip = 0
+                while after_flip < 5 and not stop.is_set():
+                    sent_after_flip = flipped.is_set()
+                    connection.request("POST", "/v1/predict", body=body,
+                                       headers={"Content-Type":
+                                                "application/json"})
+                    response = connection.getresponse()
+                    answers.append((sent_after_flip, response.status,
+                                    json.loads(response.read())))
+                    after_flip += sent_after_flip
+                    answered.set()
+            finally:
+                connection.close()
+
+        traffic = threading.Thread(target=client, daemon=True)
+        traffic.start()
+        try:
+            assert answered.wait(30.0)
+            new_record = registry.publish(other_model, "demo",
+                                          inference_mode="private",
+                                          training=training)
+            assert watcher.poll_once() == [("demo", record.digest,
+                                            new_record.digest)]
+            flipped.set()
+            traffic.join(30.0)
+            assert not traffic.is_alive()
+        finally:
+            stop.set()
+            server.shutdown()
+            server.server_close()
+        offline = {
+            record.ref: model.decision_scores(graph, mode="private")[nodes],
+            new_record.ref: other_model.decision_scores(
+                graph, mode="private")[nodes],
+        }
+        assert [status for _after, status, _payload in answers] \
+            == [200] * len(answers)
+        assert sum(after for after, _status, _payload in answers) == 5
+        assert answers[0][2]["model"] == record.ref  # traffic before the flip
+        for after, _status, payload in answers:
+            if after:
+                assert payload["model"] == new_record.ref
+            assert np.array_equal(np.asarray(payload["scores"]),
+                                  offline[payload["model"]])
