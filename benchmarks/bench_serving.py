@@ -40,7 +40,6 @@ from repro.serving import (
     MicroBatcher,
     ModelRegistry,
     OverloadedError,
-    SloController,
     serve_http,
 )
 
@@ -310,121 +309,6 @@ def test_two_model_contention_no_head_of_line_blocking(benchmark, tmp_path):
     latency = outcome["stats"]["models"][labels[0]]["latency_ms"]
     assert latency["count"] >= 2 * outcome["num_queries"]
     assert {"p50", "p95", "p99"} <= set(latency)
-
-
-# --------------------------------------------------------------------------- #
-# SLO step load: adaptive batching vs the static PR 5 configuration
-# --------------------------------------------------------------------------- #
-def _run_slo_phase(registry, graph, offline, nodes, *, target_p99,
-                   base_latency, tick_every):
-    """Sparse singleton traffic against a deadline-dominated configuration.
-
-    With one client and a generous row budget, each singleton waits out the
-    model's flush deadline — so the *configured* deadline IS the latency.
-    The static plane keeps the operator's ``base_latency`` and violates the
-    SLO on every query; the adaptive plane lets the AIMD controller tick on
-    a fixed request cadence (deterministic — no controller thread) and
-    collapse the deadline until the windows land under target.  Every reply
-    is still bitwise checked against offline scores.
-    """
-    latencies = {"static": [], "adaptive": []}
-    for plane in ("static", "adaptive"):
-        service = InferenceService(registry, graph=graph,
-                                   max_batch_size=256,
-                                   max_latency=base_latency)
-        controller = SloController(service.batcher, target_p99=target_p99,
-                                   metrics=service.metrics)
-        service.attach_slo(controller)
-        with service.batcher:
-            for index, node in enumerate(nodes):
-                start = time.perf_counter()
-                scores = service.predict_scores("bench", [node], timeout=30.0)
-                latencies[plane].append(time.perf_counter() - start)
-                assert np.array_equal(scores, offline[[node]]), \
-                    f"{plane}: served scores != offline decision_scores"
-                if plane == "adaptive" and (index + 1) % tick_every == 0:
-                    controller.tick()
-        if plane == "adaptive":
-            slo_state = service.stats()["slo"]
-        service.close()
-    return latencies, slo_state
-
-
-def _run_slo_step(settings, registry_root):
-    registry, graph, model = _publish_model(settings, registry_root)
-    offline = model.decision_scores(graph, mode="private")
-    target_p99 = 0.030
-    base_latency = 0.100        # the static flush deadline: 100ms >> target
-    num_queries = 30 if is_smoke() else 72
-    tick_every = 5 if is_smoke() else 6
-    rng = np.random.default_rng(settings.seed)
-    nodes = rng.integers(0, graph.num_nodes, size=num_queries).tolist()
-    latencies, slo_state = _run_slo_phase(
-        registry, graph, offline, nodes, target_p99=target_p99,
-        base_latency=base_latency, tick_every=tick_every)
-    return {
-        "target_p99": target_p99,
-        "base_latency": base_latency,
-        "num_queries": num_queries,
-        "warmup": 2 * tick_every,   # before the controller's first backoffs
-        "latencies": latencies,
-        "slo": slo_state,
-    }
-
-
-def test_slo_adaptive_batching_holds_p99_where_static_violates(benchmark,
-                                                               tmp_path):
-    settings = bench_settings(datasets=("cora_ml",))
-    outcome = benchmark.pedantic(_run_slo_step,
-                                 args=(settings, tmp_path / "registry"),
-                                 rounds=1, iterations=1)
-
-    target = outcome["target_p99"]
-    warmup = outcome["warmup"]
-    static = outcome["latencies"]["static"]
-    adaptive = outcome["latencies"]["adaptive"][warmup:]  # steady state
-
-    def goodput(latencies):
-        """Queries answered within the SLO, per second of wall time."""
-        return sum(1 for value in latencies if value <= target) / sum(latencies)
-
-    rows = []
-    for name, values in (("static (PR 5 config)", static),
-                         (f"adaptive (after {warmup}-query warmup)", adaptive)):
-        rows.append([name,
-                     f"{np.percentile(values, 50) * 1e3:.1f}",
-                     f"{np.percentile(values, 99) * 1e3:.1f}",
-                     f"{len(values) / sum(values):,.1f}",
-                     f"{goodput(values):,.1f}"])
-    record("serving_slo_step",
-           render_table(
-               ["configuration", "p50 ms", "p99 ms", "queries/s",
-                f"goodput/s (<= {target * 1e3:.0f}ms)"],
-               rows,
-               title=f"SLO step load: {outcome['num_queries']} singleton "
-                     f"queries, {outcome['base_latency'] * 1e3:.0f}ms static "
-                     f"deadline, {target * 1e3:.0f}ms p99 target"))
-
-    static_p99 = float(np.percentile(static, 99))
-    adaptive_p99 = float(np.percentile(adaptive, 99))
-    # The static plane pins every query at its 100ms flush deadline — far
-    # over the target on each one; zero of them count as goodput.
-    assert static_p99 >= 2.5 * target, (
-        f"static plane should violate the SLO, got {static_p99 * 1e3:.1f}ms")
-    assert goodput(static) == 0.0
-    # The adaptive plane backs its deadline off until windows meet the
-    # target; AIMD keeps probing upward, so steady state oscillates just
-    # around the target rather than far above it.
-    assert adaptive_p99 <= 0.6 * static_p99, (
-        f"adaptive p99 {adaptive_p99 * 1e3:.1f}ms did not improve on static "
-        f"{static_p99 * 1e3:.1f}ms")
-    assert goodput(adaptive) > 0.0, "no adaptive query ever met the SLO"
-    # The controller's own audit trail agrees: it intervened, and a healthy
-    # share of its observation windows met the target.
-    (label, budget), = outcome["slo"]["models"].items()
-    assert budget["backed_off"] >= 1, budget
-    assert budget["windows_under_slo"] >= 1, budget
-    assert budget["max_latency_seconds"] < outcome["base_latency"], budget
 
 
 # --------------------------------------------------------------------------- #

@@ -14,11 +14,17 @@ def command_trace(args) -> int:
         render_trace_tree,
     )
 
-    if args.trace_id is None:
-        rows = fetch_recent_traces(args.url, limit=args.limit)
-        print(render_trace_list(rows))
-        return 0
-    spans = fetch_trace_spans(args.url, args.trace_id)
+    try:
+        if args.trace_id is None:
+            print(render_trace_list(
+                fetch_recent_traces(args.url, limit=args.limit)))
+            return 0
+        spans = fetch_trace_spans(args.url, args.trace_id)
+    except (OSError, ValueError) as error:
+        # URLError carries the socket-level cause in ``reason``.
+        print(f"cannot reach {args.url}: {getattr(error, 'reason', error)}",
+              file=sys.stderr)
+        return 1
     if not spans:
         print(f"trace {args.trace_id} not found on {args.url}",
               file=sys.stderr)

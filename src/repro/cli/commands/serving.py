@@ -112,7 +112,7 @@ def command_publish(args) -> int:
 
 def command_serve(args) -> int:
     """Serve registry models over the selector-loop HTTP JSON API."""
-    from repro.serving import InferenceService, SloController, serve_http
+    from repro.serving import InferenceService, serve_http
 
     max_queue_depth = args.max_queue_depth if args.max_queue_depth > 0 else None
     service = InferenceService(
@@ -133,12 +133,6 @@ def command_serve(args) -> int:
     except Exception as error:
         print(f"serve failed: {error}", file=sys.stderr)
         return 2
-    controller = None
-    if args.slo_p99_ms > 0 and not args.static_batching:
-        controller = SloController(service.batcher,
-                                   target_p99=args.slo_p99_ms / 1000.0)
-        service.attach_slo(controller)
-        controller.start()
     server = serve_http(service, host=args.host, port=args.port,
                         log_stream=None if args.quiet else sys.stderr,
                         max_connections=args.max_connections,
@@ -155,13 +149,11 @@ def command_serve(args) -> int:
 
     served = ", ".join(f"{record.ref} (mode={record.inference_mode})"
                        for record in records)
-    slo_note = (f"slo p99<={args.slo_p99_ms:g}ms" if controller is not None
-                else "static batching")
     depth_note = (f"queue<={max_queue_depth}" if max_queue_depth is not None
                   else "no admission cap")
     print(f"serving {served} on http://{host}:{port} "
           f"(batch<={args.batch_size}, latency<={args.max_latency_ms:g}ms, "
-          f"connections<={args.max_connections}, {slo_note}, {depth_note})",
+          f"connections<={args.max_connections}, {depth_note})",
           file=sys.stderr, flush=True)
     try:
         server.serve_forever()
@@ -171,8 +163,6 @@ def command_serve(args) -> int:
         if watcher is not None:
             watcher.close()
         server.server_close()
-        if controller is not None:
-            controller.close()
         service.close()
     return 0
 
@@ -212,7 +202,8 @@ def configure(subparsers) -> None:
     serve.add_argument("--host", default="127.0.0.1")
     serve.add_argument("--port", type=int, default=8151,
                        help="TCP port (0 binds an ephemeral port)")
-    serve.add_argument("--batch-size", type=int, default=64, dest="batch_size",
+    serve.add_argument("--batch-size", type=int, default=4096,
+                       dest="batch_size",
                        help="flush a model's micro-batch at this many "
                             "queried rows (per-model queues)")
     serve.add_argument("--max-latency-ms", type=float, default=5.0,
@@ -227,15 +218,6 @@ def configure(subparsers) -> None:
                        dest="stats_interval", metavar="SECONDS",
                        help="log a per-model latency summary "
                             "(n/p50/p95/p99) to stderr every SECONDS")
-    serve.add_argument("--slo-p99-ms", type=float, default=50.0,
-                       dest="slo_p99_ms", metavar="MS",
-                       help="target request p99 in milliseconds; an AIMD "
-                            "controller tunes each model's batch budgets to "
-                            "hold it (0 disables, like --static-batching)")
-    serve.add_argument("--static-batching", action="store_true",
-                       dest="static_batching",
-                       help="disable the SLO controller and keep the "
-                            "--batch-size/--max-latency-ms limits fixed")
     serve.add_argument("--max-queue-depth", type=int, default=512,
                        dest="max_queue_depth", metavar="N",
                        help="shed load with HTTP 429 + Retry-After once a "

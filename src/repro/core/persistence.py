@@ -241,7 +241,7 @@ def load_gcon(path: str | Path, mmap_mode: str | None = None) -> GCON:
     With ``mmap_mode="r"`` the release arrays (Θ_priv and the encoder
     parameters) are memory-mapped read-only instead of copied — the serving
     registry's cold-start path — and every downstream score is bitwise
-    identical to the eager load (pinned by ``tests/test_serving_slo.py``).
+    identical to the eager load (pinned by ``tests/test_serving_registry.py``).
     """
     path = Path(path)
     if not path.exists():

@@ -23,25 +23,26 @@ def _get(base_url: str, path: str, timeout: float) -> bytes:
 
 def fetch_recent_traces(base_url: str, *, limit: int = 10,
                         timeout: float = DEFAULT_TIMEOUT) -> list[dict]:
-    """The newest ``limit`` summaries of the server's ``/debug/traces``;
-    an unreachable server or unreadable answer is one ``error`` row."""
-    try:
-        payload = json.loads(_get(base_url, "/debug/traces", timeout))
-    except (urllib.error.URLError, OSError, ValueError) as error:
-        return [{"error": f"{base_url}: {error}"}]
+    """The newest ``limit`` summaries of the server's ``/debug/traces``.
+
+    Raises :class:`OSError` (``urllib.error.URLError``) when the server
+    cannot be reached and :class:`ValueError` when its answer is not JSON.
+    """
+    payload = json.loads(_get(base_url, "/debug/traces", timeout))
     return payload.get("traces", [])[:limit]
 
 
 def fetch_trace_spans(base_url: str, trace_id: str, *,
                       timeout: float = DEFAULT_TIMEOUT) -> list[dict]:
-    """One trace's spans; empty when the server does not hold the trace
-    (or cannot be reached)."""
+    """One trace's spans; empty when the server answers 404 (it does not
+    hold the trace).  Raises like :func:`fetch_recent_traces` otherwise."""
     try:
-        payload = json.loads(
-            _get(base_url, f"/debug/traces/{trace_id}", timeout))
-    except (urllib.error.URLError, OSError, ValueError):
-        return []
-    return payload.get("spans", [])
+        body = _get(base_url, f"/debug/traces/{trace_id}", timeout)
+    except urllib.error.HTTPError as error:
+        if error.code == 404:
+            return []
+        raise
+    return json.loads(body).get("spans", [])
 
 
 def render_trace_list(rows) -> str:
@@ -49,9 +50,6 @@ def render_trace_list(rows) -> str:
         return "no traces recorded"
     lines = [f"{'trace_id':<34} {'root':<12} {'spans':>5} {'ms':>10}"]
     for row in rows:
-        if "error" in row:
-            lines.append(f"!! {row['error']}")
-            continue
         lines.append(f"{row.get('trace_id', ''):<34} "
                      f"{row.get('root', ''):<12} "
                      f"{row.get('span_count', 0):>5} "

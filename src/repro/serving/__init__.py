@@ -11,21 +11,17 @@ budget is spent answering queries — so serving is an ordinary data plane:
 * :mod:`repro.serving.batcher` — a micro-batching request queue that
   coalesces concurrent queries into one stacked matmul;
 * :mod:`repro.serving.router` — one batch queue **per model version** (own
-  row budget, own deadline, own dispatch thread), so mixed traffic never
-  head-of-line blocks across models;
+  forming batch, own dispatch thread), so mixed traffic never head-of-line
+  blocks across models; the row budget and deadline are fixed at start-up;
 * :mod:`repro.serving.metrics` — per-model latency histograms
   (fixed log-spaced buckets, p50/p95/p99), batch-size and queue-depth
   distributions — the ``/stats`` payload;
 * :mod:`repro.serving.service` — the :class:`InferenceService` control room
-  over an LRU of propagated-feature sessions;
+  over an LRU of propagated-feature sessions, with queue-depth admission
+  control (:class:`OverloadedError` → HTTP 429 with ``Retry-After``);
 * :mod:`repro.serving.httpd` — a single-threaded ``selectors``-based HTTP
   frontend (keep-alive, bounded connections, graceful drain) that parks
-  connections on batch tickets instead of blocking a thread per request;
-* :mod:`repro.serving.slo` — the feedback half: an AIMD
-  :class:`SloController` that tunes each model's batch budgets to hold a
-  target p99 against the live histograms, and the
-  :class:`OverloadedError` admission-control signal (queue-depth load
-  shedding → HTTP 429 with ``Retry-After``).
+  connections on batch tickets instead of blocking a thread per request.
 
 One ``repro serve`` process is the serving unit: its sessions, graph stores
 and graph updates are its own, and servers share only the registry.
@@ -45,6 +41,7 @@ from repro.serving.registry import (
 from repro.serving.router import ModelRouter
 from repro.serving.service import (
     InferenceService,
+    OverloadedError,
     PredictRequest,
     format_prediction,
     format_prediction_body,
@@ -52,7 +49,6 @@ from repro.serving.service import (
     parse_predict_payload,
     render_scores_json,
 )
-from repro.serving.slo import OverloadedError, SloController
 
 __all__ = [
     "BatchStats",
@@ -70,7 +66,6 @@ __all__ = [
     "RegistryWatcher",
     "SelectorHTTPServer",
     "ServingMetrics",
-    "SloController",
     "format_prediction",
     "format_prediction_body",
     "parse_graph_update_payload",

@@ -26,6 +26,7 @@ tests and benchmarks use.
 
 from __future__ import annotations
 
+import math
 import queue
 import threading
 import time
@@ -157,7 +158,8 @@ class MicroBatcher:
         requests.
     max_latency:
         Seconds the dispatch loop waits for more requests after the first
-        one arrives before flushing regardless of size.
+        one arrives before flushing regardless of size; finite, because the
+        wait is a ``queue.get`` timeout.
     observer:
         Optional metrics sink (duck-typed, see
         :class:`repro.serving.metrics.ServingMetrics`): ``observe_queue_depth
@@ -170,13 +172,13 @@ class MicroBatcher:
                  observer=None, label=str):
         self._compute = compute
         self._label = label  # model_key -> str for stats/metrics labels
-        # Both batch limits live in ONE tuple that is swapped atomically and
-        # snapshotted once per forming batch, so a runtime reconfiguration
-        # (the SLO controller tunes limits while the dispatch thread is
-        # mid-flush) takes effect exactly at a batch boundary and the loop
-        # can never observe a torn (new size, old deadline) mix.
-        self._limits = self._checked_limits(max_batch_size, max_latency)
-        self._limits_lock = threading.Lock()
+        if max_batch_size < 1:
+            raise ValueError(f"max_batch_size must be >= 1, got {max_batch_size}")
+        if not (max_latency >= 0 and math.isfinite(max_latency)):
+            raise ValueError(
+                f"max_latency must be finite and >= 0, got {max_latency}")
+        self.max_batch_size = int(max_batch_size)
+        self.max_latency = float(max_latency)
         self._clock = clock
         self._observer = observer
         self._queue: queue.Queue[_Ticket | None] = queue.Queue()
@@ -185,49 +187,6 @@ class MicroBatcher:
         self._inflight = 0  # submitted, not yet resolved/failed (queue depth)
         self.stats = BatchStats()
         self._stats_lock = threading.Lock()
-
-    @staticmethod
-    def _checked_limits(max_batch_size: int, max_latency: float) -> tuple[int, float]:
-        if max_batch_size < 1:
-            raise ValueError(f"max_batch_size must be >= 1, got {max_batch_size}")
-        if max_latency < 0:
-            raise ValueError(f"max_latency must be >= 0, got {max_latency}")
-        return int(max_batch_size), float(max_latency)
-
-    # ------------------------------------------------------------------ #
-    # batch limits (atomically reconfigurable at batch boundaries)
-    # ------------------------------------------------------------------ #
-    def configure(self, *, max_batch_size: int | None = None,
-                  max_latency: float | None = None) -> tuple[int, float]:
-        """Swap the batch limits atomically; returns the new pair.
-
-        The dispatch loop snapshots both limits together when a batch starts
-        forming, so the new configuration applies from the next batch on —
-        never to the one mid-flush, and never as a half-old half-new mix.
-        """
-        with self._limits_lock:
-            size, latency = self._limits
-            limits = self._checked_limits(
-                size if max_batch_size is None else max_batch_size,
-                latency if max_latency is None else max_latency)
-            self._limits = limits
-        return limits
-
-    @property
-    def max_batch_size(self) -> int:
-        return self._limits[0]
-
-    @max_batch_size.setter
-    def max_batch_size(self, value: int) -> None:
-        self.configure(max_batch_size=value)
-
-    @property
-    def max_latency(self) -> float:
-        return self._limits[1]
-
-    @max_latency.setter
-    def max_latency(self, value: float) -> None:
-        self.configure(max_latency=value)
 
     # ------------------------------------------------------------------ #
     # submission
@@ -301,13 +260,10 @@ class MicroBatcher:
                 continue
             if first is None:
                 continue
-            # One atomic snapshot of both limits per forming batch: a
-            # concurrent configure() applies cleanly from the next batch.
-            max_batch_size, max_latency = self._limits
             batch = [first]
             rows = int(first.nodes.size)
-            deadline = self._clock() + max_latency
-            while rows < max_batch_size:
+            deadline = self._clock() + self.max_latency
+            while rows < self.max_batch_size:
                 remaining = deadline - self._clock()
                 if remaining <= 0:
                     break

@@ -48,11 +48,11 @@ from repro.obs.trace import (
 )
 from repro.serving.service import (
     InferenceService,
+    OverloadedError,
     format_prediction_body,
     parse_graph_update_payload,
     parse_predict_payload,
 )
-from repro.serving.slo import OverloadedError
 
 MAX_HEADER_BYTES = 32 * 1024
 MAX_BODY_BYTES = 8 * 1024 * 1024

@@ -39,12 +39,12 @@ def bucket_quantile(bounds, counts, q: float, *,
                     overflow_value: float | None = None) -> float:
     """Interpolated ``q``-quantile of a raw bucket-count vector.
 
-    The standalone sibling of :meth:`Histogram.quantile`, usable on a
-    *difference* of two counts snapshots — which is how the SLO controller
-    reads a windowed p99 (latency shape since its last tick) out of
-    histograms that only ever accumulate.  ``overflow_value`` is reported
-    when the target rank lands in the overflow bucket (callers pass the
-    histogram's observed max); returns 0.0 when the window is empty.
+    The loop behind :meth:`Histogram.quantile`, usable on any counts vector
+    — a scraped ``/metrics`` page, or the *difference* of two scrapes for a
+    windowed quantile out of histograms that only ever accumulate.
+    ``overflow_value`` is reported when the target rank lands in the
+    overflow bucket (callers pass the histogram's observed max); returns
+    0.0 when the window is empty.
     """
     if not 0.0 <= q <= 1.0:
         raise ValueError(f"quantile must be in [0, 1], got {q}")
@@ -135,23 +135,10 @@ class Histogram:
             return self.min
         if q == 1.0:
             return self.max
-        rank = q * self.count
-        seen = 0
-        for index, bucket_count in enumerate(self.counts):
-            if bucket_count == 0:
-                continue
-            if seen + bucket_count < rank:
-                seen += bucket_count
-                continue
-            if index >= len(self.bounds):  # overflow: no edge to lerp toward
-                return self.max
-            lower = self.bounds[index - 1] if index > 0 else 0.0
-            upper = self.bounds[index]
-            fraction = (rank - seen) / bucket_count
-            estimate = lower + (upper - lower) * fraction
-            # Never report outside what was actually observed.
-            return min(max(estimate, self.min), self.max)
-        return self.max
+        estimate = bucket_quantile(self.bounds, self.counts, q,
+                                   overflow_value=self.max)
+        # Never report outside what was actually observed.
+        return min(max(estimate, self.min), self.max)
 
     @property
     def mean(self) -> float:
@@ -239,20 +226,6 @@ class ServingMetrics:
             metrics.queue_depth.observe(depth)
 
     # -- reading -------------------------------------------------------- #
-    def latency_snapshot(self) -> dict:
-        """Per model: ``(latency bucket counts, observed max, total count)``
-        at this instant, copied under the lock.
-
-        Two snapshots subtract into a *window*: the controller keeps the
-        previous one and feeds the count difference to
-        :func:`bucket_quantile` for an interval p99, so one overloaded
-        minute an hour ago can never dominate the current control decision.
-        """
-        with self._lock:
-            return {label: (tuple(metrics.latency.counts),
-                            metrics.latency.max, metrics.latency.count)
-                    for label, metrics in self._models.items()}
-
     def export(self) -> dict:
         """Per model: raw histogram snapshots plus the failure counter,
         copied under the lock — what the Prometheus renderer serialises

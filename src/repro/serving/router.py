@@ -5,10 +5,9 @@ model count toward one ``max_batch_size`` and share one ``max_latency``
 deadline, so a cheap model's tickets queue behind an expensive model's flush
 and matmul — head-of-line blocking.  The :class:`ModelRouter` kills that bug
 by construction: each resolved model key gets its **own**
-:class:`~repro.serving.batcher.MicroBatcher` (own forming batch, own row
-budget, own deadline, own dispatch thread), created lazily on first traffic.
-Batch sizing can be tuned per model with :meth:`configure_model`; everything
-else inherits the router-wide defaults.
+:class:`~repro.serving.batcher.MicroBatcher` (own forming batch, own
+dispatch thread), created lazily on first traffic.  Every queue runs the
+router's row budget and deadline, fixed when the router is built.
 
 The router duck-types the public ``MicroBatcher`` surface the service and
 tests already speak — ``submit`` / ``predict_scores`` / ``run_once`` /
@@ -22,6 +21,7 @@ batch-size / queue-depth histograms) expose the per-model breakdown that
 
 from __future__ import annotations
 
+import math
 import threading
 import time
 
@@ -38,7 +38,7 @@ class ModelRouter:
         ``(model_key, node_indices) -> scores``, exactly the
         :class:`MicroBatcher` contract; shared by every queue.
     max_batch_size / max_latency:
-        Router-wide defaults for newly created per-model queues.
+        The batch limits every per-model queue runs with.
     metrics:
         A :class:`ServingMetrics` to observe into (one is created when
         omitted); wired into every queue as its observer.
@@ -52,8 +52,9 @@ class ModelRouter:
                  clock=time.monotonic, label=str):
         if max_batch_size < 1:
             raise ValueError(f"max_batch_size must be >= 1, got {max_batch_size}")
-        if max_latency < 0:
-            raise ValueError(f"max_latency must be >= 0, got {max_latency}")
+        if not (max_latency >= 0 and math.isfinite(max_latency)):
+            raise ValueError(
+                f"max_latency must be finite and >= 0, got {max_latency}")
         self._compute = compute
         self.max_batch_size = int(max_batch_size)
         self.max_latency = float(max_latency)
@@ -61,52 +62,8 @@ class ModelRouter:
         self._clock = clock
         self._label = label
         self._queues: dict = {}
-        self._overrides: dict[str, dict] = {}
         self._lock = threading.Lock()
         self._started = False
-
-    # ------------------------------------------------------------------ #
-    # per-model configuration
-    # ------------------------------------------------------------------ #
-    def configure_model(self, label: str, *, max_batch_size: int | None = None,
-                        max_latency: float | None = None) -> None:
-        """Override batch limits for one model label (affects its queue even
-        if already created; applies to future flushes, not the forming one)."""
-        override: dict = {}
-        if max_batch_size is not None:
-            if max_batch_size < 1:
-                raise ValueError(
-                    f"max_batch_size must be >= 1, got {max_batch_size}")
-            override["max_batch_size"] = int(max_batch_size)
-        if max_latency is not None:
-            if max_latency < 0:
-                raise ValueError(f"max_latency must be >= 0, got {max_latency}")
-            override["max_latency"] = float(max_latency)
-        with self._lock:
-            self._overrides.setdefault(label, {}).update(override)
-            for model_key, queue in self._queues.items():
-                if self._label(model_key) == label:
-                    # One atomic swap per queue: the dispatch thread picks the
-                    # new pair up at its next batch boundary, never mid-flush
-                    # and never as a torn (new size, old deadline) mix.
-                    queue.configure(
-                        max_batch_size=override.get("max_batch_size"),
-                        max_latency=override.get("max_latency"))
-
-    def forget(self, label: str) -> None:
-        """Drop a retired label's batch-limit override (a no-op for unknown
-        labels)."""
-        with self._lock:
-            self._overrides.pop(label, None)
-
-    def model_limits(self, label: str) -> tuple[int, float]:
-        """The effective ``(max_batch_size, max_latency)`` a queue for
-        ``label`` runs (or would be created) with — what the SLO controller
-        reads before deciding its next adjustment."""
-        with self._lock:
-            override = self._overrides.get(label, {})
-            return (override.get("max_batch_size", self.max_batch_size),
-                    override.get("max_latency", self.max_latency))
 
     def depth(self, model_key) -> int:
         """In-flight tickets on one model's queue (0 when it has no queue):
@@ -122,15 +79,10 @@ class ModelRouter:
         with self._lock:
             queue = self._queues.get(model_key)
             if queue is None:
-                label = self._label(model_key)
-                override = self._overrides.get(label, {})
                 queue = MicroBatcher(
-                    self._compute,
-                    max_batch_size=override.get("max_batch_size",
-                                                self.max_batch_size),
-                    max_latency=override.get("max_latency", self.max_latency),
-                    clock=self._clock, observer=self.metrics,
-                    label=self._label)
+                    self._compute, max_batch_size=self.max_batch_size,
+                    max_latency=self.max_latency, clock=self._clock,
+                    observer=self.metrics, label=self._label)
                 self._queues[model_key] = queue
                 if self._started:
                     queue.start()
@@ -213,7 +165,7 @@ class ModelRouter:
         return merged
 
     def per_model_stats(self) -> dict:
-        """Label -> that queue's counters plus its effective batch limits."""
+        """Label -> that queue's counters plus its batch limits."""
         with self._lock:
             items = [(self._label(key), queue)
                      for key, queue in self._queues.items()]

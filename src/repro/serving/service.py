@@ -52,6 +52,7 @@ manifest's recorded ``graph_digest`` when it has one; pass ``graph=`` or a
 from __future__ import annotations
 
 import json
+import math
 import threading
 import time
 from dataclasses import dataclass
@@ -62,13 +63,12 @@ from repro.core.inference import (INFERENCE_MODES, batched_inference_scores,
                                   inference_features)
 from repro.core.propagation import (PropagationCache,
                                     incremental_inference_features)
-from repro.exceptions import ConfigurationError
+from repro.exceptions import ConfigurationError, ReproError
 from repro.obs.process import process_stats
 from repro.serving.graphstore import EdgeDelta, GraphStore
 from repro.serving.metrics import ServingMetrics
 from repro.serving.registry import ModelRegistry
 from repro.serving.router import ModelRouter
-from repro.serving.slo import OverloadedError, estimate_drain_seconds
 from repro.utils.lru import LRUDict
 from repro.utils.math import row_normalize_l2
 
@@ -142,6 +142,38 @@ class _ModelSession:
         self.inference_alpha = float(inference_alpha)
 
 
+class OverloadedError(ReproError):
+    """A request was shed by admission control (queue depth over the cap).
+
+    ``retry_after`` is the estimated seconds until the model's queue has
+    drained — what the HTTP frontend serialises into the ``Retry-After``
+    header (rounded up to whole seconds, as the header requires).
+    """
+
+    def __init__(self, message: str, *, retry_after: float, label: str,
+                 depth: int, max_queue_depth: int):
+        super().__init__(message)
+        self.retry_after = float(retry_after)
+        self.label = label
+        self.depth = int(depth)
+        self.max_queue_depth = int(max_queue_depth)
+
+    @property
+    def retry_after_header(self) -> int:
+        """``Retry-After`` header value: whole seconds, at least 1."""
+        return max(1, math.ceil(self.retry_after))
+
+
+def estimate_drain_seconds(depth: int, max_batch_size: int,
+                           max_latency: float) -> float:
+    """Rough drain time of a queue ``depth`` tickets deep: each flush clears
+    up to ``max_batch_size`` tickets and a forming batch waits at most
+    ``max_latency`` — a floor of 10 ms keeps the hint non-zero even for
+    deadline-free queues."""
+    flushes = math.ceil(max(depth, 1) / max(max_batch_size, 1))
+    return flushes * max(max_latency, 0.010)
+
+
 class InferenceService:
     """Batched inference over registry models (the serving control room).
 
@@ -184,7 +216,6 @@ class InferenceService:
                                 else int(max_queue_depth))
         self.shed_counts: dict[str, int] = {}
         self.mmap_bundles = bool(mmap_bundles)
-        self.slo_controller = None  # attached by attach_slo() when serving
         self.cache_stats = {"feature_hits": 0, "feature_misses": 0}
         # The service owns its propagation cache (transition / LU solver /
         # features layers) instead of touching the process-global one:
@@ -199,11 +230,6 @@ class InferenceService:
             "rows_reused": 0,
         }
         self.started_at = time.time()
-
-    def attach_slo(self, controller) -> None:
-        """Register the running SLO controller so ``stats()`` can surface
-        its budgets and attainment under the ``"slo"`` key."""
-        self.slo_controller = controller
 
     def _label_for(self, key: tuple) -> str:
         """Human label for a session key: ``name@digest12:g<epoch>:mode``
@@ -354,12 +380,10 @@ class InferenceService:
 
     def _retire(self, keys) -> None:
         """Retire evicted sessions' queues (flush + stop the dispatch thread),
-        then drop their labels from the metrics, the SLO controller's budgets
-        and the router's batch-limit overrides, so a server whose "@latest"
+        then drop their labels from the metrics, so a server whose "@latest"
         or graph epoch keeps advancing holds a thread and a label per live
         session only.  Labels drop after the flush, so the final
-        observations still carry the human name, and leave the metrics
-        before the controller, so its next tick cannot bring them back.
+        observations still carry the human name.
         """
         for key in keys:
             self.batcher.retire(key)
@@ -367,9 +391,6 @@ class InferenceService:
             labels = [self._labels.pop(key, None) for key in keys]
         for label in filter(None, labels):
             self.metrics.forget(label)
-            if self.slo_controller is not None:
-                self.slo_controller.forget(label)
-            self.batcher.forget(label)
 
     def _incremental_base(self, digest: str, mode: str, store_key: str,
                           epoch: int) -> _ModelSession | None:
@@ -575,21 +596,21 @@ class InferenceService:
 
         Runs *before* the request is parked on a ticket — the rejection
         costs a dict lookup and a counter read, never a matmul — and the
-        retry hint is the queue's estimated drain time under its current
-        batch budgets."""
+        retry hint is the queue's estimated drain time under the batch
+        limits every queue runs with."""
         if self.max_queue_depth is None:
             return
         depth = self.batcher.depth(key)
         if depth < self.max_queue_depth:
             return
         label = self._label_for(key)
-        size, latency = self.batcher.model_limits(label)
         with self._lock:
             self.shed_counts[label] = self.shed_counts.get(label, 0) + 1
         raise OverloadedError(
             f"model {label} is overloaded: queue depth {depth} >= "
             f"{self.max_queue_depth}; retry later",
-            retry_after=estimate_drain_seconds(depth, size, latency),
+            retry_after=estimate_drain_seconds(
+                depth, self.batcher.max_batch_size, self.batcher.max_latency),
             label=label, depth=depth, max_queue_depth=self.max_queue_depth)
 
     # ------------------------------------------------------------------ #
@@ -687,9 +708,6 @@ class InferenceService:
                 "shed_total": sum(shed.values()),
                 "shed_per_model": shed,
             },
-            "slo": ({"enabled": True, **self.slo_controller.state()}
-                    if self.slo_controller is not None
-                    else {"enabled": False}),
             # uptime + RSS; the HTTP frontend overlays its connection
             # counts (open/parked) before serialising /stats.
             "process": process_stats(self.started_at),
@@ -764,8 +782,8 @@ def parse_graph_update_payload(payload) -> dict:
 
     seed = payload.get("seed")
     if seed is not None and (isinstance(seed, bool)
-                             or not isinstance(seed, int)):
-        raise ConfigurationError("'seed' must be an integer")
+                             or not isinstance(seed, int) or seed < 0):
+        raise ConfigurationError("'seed' must be a non-negative integer")
     graph = payload.get("graph")
     if graph is not None and not isinstance(graph, str):
         raise ConfigurationError("'graph' must be a string store key")
@@ -819,7 +837,7 @@ def render_scores_json(scores: np.ndarray) -> str:
     is byte-identical to ``json.dumps`` of the nested-list form: both print
     finite doubles via ``float.__repr__``, the shortest round-tripping
     decimal, so the zero-copy path changes cost, never bytes (pinned by
-    ``tests/test_serving_slo.py``).
+    ``tests/test_serving_service.py``).
     """
     num_cols = int(scores.shape[1])
     flat = scores.ravel().tolist()  # one C pass over the contiguous buffer

@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import argparse
 import os
+import re
 import subprocess
 import sys
 import threading
@@ -222,7 +223,7 @@ class TestPublishServeCommands:
         parser = build_parser()
         args = parser.parse_args(["serve", "--registry", "r", "--model", "m"])
         assert args.port == 8151
-        assert args.batch_size == 64
+        assert args.batch_size == 4096
         assert args.max_latency_ms == 5.0
 
     def test_help_lists_publish_and_serve(self):
@@ -243,15 +244,25 @@ class TestServingSurface:
 
     SERVE = ["serve", "--registry", "r", "--model", "m"]
 
-    def test_serve_takes_fifteen_flags(self):
+    def test_serve_takes_thirteen_flags(self):
         flags = {option for action in _subcommand("serve")._actions
                  if not isinstance(action, argparse._HelpAction)
                  for option in action.option_strings}
         assert flags == {
             "--registry", "--model", "--host", "--port", "--batch-size",
             "--max-latency-ms", "--max-connections", "--stats-interval",
-            "--slo-p99-ms", "--static-batching", "--max-queue-depth",
-            "--no-mmap", "--reload-interval", "--quiet", "--no-trace"}
+            "--max-queue-depth", "--no-mmap", "--reload-interval", "--quiet",
+            "--no-trace"}
+
+    @pytest.mark.parametrize("flag", [["--slo-p99-ms", "50"],
+                                      ["--static-batching"]],
+                             ids=lambda flag: flag[0])
+    def test_retired_batching_flag_is_an_argument_error(self, flag, capsys):
+        with pytest.raises(SystemExit) as excinfo:
+            build_parser().parse_args([*self.SERVE, *flag])
+        assert excinfo.value.code == 2
+        assert f"unrecognized arguments: {flag[0]}" \
+            in capsys.readouterr().err
 
     @pytest.mark.parametrize("flag", [
         ["--fleet-dir", "fleet"], ["--advertise", "127.0.0.1:8151"],
@@ -336,7 +347,30 @@ class TestServeCommand:
         assert exit_code == 0
         banner = capsys.readouterr().err.strip().splitlines()[-1]
         assert banner.startswith("serving demo@")
-        assert "on http://127.0.0.1:" in banner
+        # The readiness shape load generators parse the port out of.
+        assert re.match(r"^serving .* on http://127\.0\.0\.1:\d+ \(", banner)
+        assert banner.endswith("(batch<=4096, latency<=5ms, "
+                               "connections<=512, queue<=512)")
         assert ("registry-watcher" in seen["threads"]) is watching
+        assert not any("slo" in name for name in seen["threads"])
         assert "registry-watcher" not in {
             thread.name for thread in threading.enumerate()}
+
+    @pytest.mark.parametrize("limits", [
+        ["--batch-size", "0"], ["--max-latency-ms", "-1"],
+        ["--max-latency-ms", "nan"], ["--max-latency-ms", "inf"]],
+        ids=lambda limits: f"{limits[0]}={limits[1]}")
+    def test_serve_refuses_batch_limits_its_queues_cannot_run(
+            self, registry_dir, monkeypatch, limits):
+        """The batch limits are fixed at start-up, so a pair the deadline
+        loop cannot run fails there, before any socket is bound."""
+        import repro.serving
+
+        def bind(*args, **kwargs):
+            raise AssertionError("serve bound a socket")
+
+        monkeypatch.setattr(repro.serving, "serve_http", bind)
+        with pytest.raises(ValueError, match="max_batch_size|max_latency"):
+            main(["serve", "--registry", str(registry_dir),
+                  "--model", "demo@latest", "--port", "0", "--quiet",
+                  *limits])

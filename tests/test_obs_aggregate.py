@@ -1,13 +1,16 @@
 """Tests for the ``repro trace`` client: the trace fetchers against a
-stubbed server (no sockets), plus the span tree's ordering rules."""
+stubbed server (no sockets), the command against a closed port, plus the
+span tree's ordering rules."""
 
 from __future__ import annotations
 
 import json
+import socket
 import urllib.error
 
 import pytest
 
+from repro.cli.main import main
 from repro.obs import aggregate
 from repro.obs.aggregate import (
     fetch_recent_traces,
@@ -18,15 +21,20 @@ from repro.obs.aggregate import (
 
 @pytest.fixture()
 def pages(monkeypatch):
-    """``{(base_url, path): bytes}``: what the stubbed server answers; a
-    path not in the map is a refused connection."""
-    answers: dict[tuple[str, str], bytes] = {}
+    """``{(base_url, path): bytes | int}``: what the stubbed server answers
+    (an int is an HTTP error status); a path not in the map is a refused
+    connection."""
+    answers: dict[tuple[str, str], bytes | int] = {}
 
     def fake_get(base_url, path, timeout):
         try:
-            return answers[(base_url, path)]
+            answer = answers[(base_url, path)]
         except KeyError:
             raise urllib.error.URLError("connection refused") from None
+        if isinstance(answer, int):
+            raise urllib.error.HTTPError(base_url + path, answer, "error",
+                                         None, None)
+        return answer
 
     monkeypatch.setattr(aggregate, "_get", fake_get)
     return answers
@@ -68,14 +76,12 @@ class TestTraceFetch:
             ("http://a", "/debug/traces/" + "t" * 32,
              aggregate.DEFAULT_TIMEOUT)]
 
-    def test_recent_traces_turn_failures_into_error_rows(self, pages):
+    def test_recent_traces_raise_when_unreachable_or_unreadable(self, pages):
         pages[("http://bad", "/debug/traces")] = b"{not json"
-        for url in ("http://down", "http://bad"):
-            (row,) = fetch_recent_traces(url)
-            assert set(row) == {"error"}
-            assert row["error"].startswith(f"{url}: ")
-        assert "connection refused" in \
-            fetch_recent_traces("http://down")[0]["error"]
+        with pytest.raises(urllib.error.URLError, match="connection refused"):
+            fetch_recent_traces("http://down")
+        with pytest.raises(ValueError):
+            fetch_recent_traces("http://bad")
 
     def test_trace_spans_come_from_the_one_server(self, pages):
         trace_id = "t" * 32
@@ -84,10 +90,58 @@ class TestTraceFetch:
             {"spans": spans}).encode()
         assert fetch_trace_spans("http://a", trace_id) == spans
 
-    def test_trace_spans_of_an_unknown_trace_are_empty(self, pages):
-        pages[("http://a", "/debug/traces/" + "t" * 32)] = b"{not json"
+    def test_only_a_404_means_an_unknown_trace(self, pages):
+        path = "/debug/traces/" + "t" * 32
+        pages[("http://a", path)] = 404
+        pages[("http://bad", path)] = b"{not json"
+        pages[("http://broken", path)] = 500
         assert fetch_trace_spans("http://a", "t" * 32) == []
-        assert fetch_trace_spans("http://b", "t" * 32) == []
+        with pytest.raises(urllib.error.URLError, match="connection refused"):
+            fetch_trace_spans("http://down", "t" * 32)
+        with pytest.raises(ValueError):
+            fetch_trace_spans("http://bad", "t" * 32)
+        with pytest.raises(urllib.error.HTTPError):
+            fetch_trace_spans("http://broken", "t" * 32)
+
+
+class TestTraceCommand:
+    @pytest.fixture()
+    def closed_url(self):
+        with socket.socket() as probe:  # a port nothing listens on
+            probe.bind(("127.0.0.1", 0))
+            return f"http://127.0.0.1:{probe.getsockname()[1]}"
+
+    @pytest.mark.parametrize("trace_id", [[], ["0" * 32]],
+                             ids=["list", "one-trace"])
+    def test_an_unreachable_server_is_not_a_missing_trace(
+            self, closed_url, trace_id, capsys):
+        assert main(["trace", *trace_id, "--url", closed_url]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith(f"cannot reach {closed_url}: ")
+        assert "not found" not in captured.err
+
+    @pytest.mark.parametrize("answer", [500, b"{not json"],
+                             ids=["http-500", "not-json"])
+    @pytest.mark.parametrize("trace_id", [[], ["0" * 32]],
+                             ids=["list", "one-trace"])
+    def test_an_unreadable_answer_is_not_a_missing_trace(
+            self, pages, trace_id, answer, capsys):
+        """A server that answers but not with a trace document exits 1
+        with the failure, never a traceback or a "not found"."""
+        pages[("http://a", "/debug/traces")] = answer
+        pages[("http://a", "/debug/traces/" + "0" * 32)] = answer
+        assert main(["trace", *trace_id, "--url", "http://a"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("cannot reach http://a: ")
+        assert "not found" not in captured.err
+
+    def test_a_404_is_a_missing_trace(self, pages, capsys):
+        pages[("http://a", "/debug/traces/" + "0" * 32)] = 404
+        assert main(["trace", "0" * 32, "--url", "http://a"]) == 1
+        assert capsys.readouterr().err.strip() \
+            == f"trace {'0' * 32} not found on http://a"
 
 
 class TestTraceTree:

@@ -90,6 +90,14 @@ class TestRunOnce:
         with pytest.raises(ValueError):
             MicroBatcher(CountingScorer(), max_latency=-1)
 
+    @pytest.mark.parametrize("latency", [float("nan"), float("inf")])
+    def test_non_finite_latency_rejected(self, latency):
+        """A NaN or infinite deadline passes a plain ``>= 0`` check but is
+        no ``queue.get`` timeout: the dispatch thread would die on the first
+        ticket and leave every caller waiting."""
+        with pytest.raises(ValueError, match="finite"):
+            MicroBatcher(CountingScorer(), max_latency=latency)
+
     def test_inline_execution_without_a_thread(self):
         """predict_scores works with no dispatch thread running."""
         scorer = CountingScorer()
@@ -126,6 +134,35 @@ class TestDispatchThread:
         # coalesces them (leave slack for scheduling jitter).
         assert batcher.stats.batches < 16
         assert batcher.stats.coalesced_requests > 0
+
+    def test_multi_row_tickets_get_their_own_rows(self):
+        """A live dispatch thread splits each coalesced matmul back into
+        exactly each ticket's own rows, and no batch passes the row budget."""
+        scorer = CountingScorer()
+        with MicroBatcher(scorer, max_batch_size=8,
+                          max_latency=0.002) as batcher:
+            tickets = [(i, batcher.submit("m", [i, i + 1]))
+                       for i in range(300)]
+            for i, ticket in tickets:
+                np.testing.assert_array_equal(ticket.result(10.0)[:, 0],
+                                              [i, i + 1])
+        assert batcher.depth() == 0  # everything drained and accounted
+        assert batcher.stats.max_batch_rows <= 8
+
+    def test_zero_latency_flushes_each_ticket_alone(self):
+        """``max_latency=0`` closes a forming batch at its first ticket:
+        the deadline loop never waits for a second one, whatever the row
+        budget."""
+        scorer = CountingScorer()
+        with MicroBatcher(scorer, max_batch_size=1024,
+                          max_latency=0.0) as batcher:
+            tickets = [batcher.submit("m", [i]) for i in range(20)]
+            for i, ticket in enumerate(tickets):
+                np.testing.assert_array_equal(ticket.result(10.0),
+                                              [[i, 2 * i]])
+        assert batcher.stats.batches == 20
+        assert batcher.stats.coalesced_requests == 0
+        assert batcher.stats.max_batch_rows == 1
 
     def test_max_batch_size_flushes_early(self):
         scorer = CountingScorer()

@@ -20,6 +20,8 @@ import urllib.request
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from repro.core.config import GCONConfig
 from repro.core.model import GCON
@@ -273,26 +275,16 @@ class TestServiceGraphUpdate:
 
     def test_retired_sessions_leave_no_labels_behind(self, registry, graph):
         """Every update mints two session labels; once the session LRU
-        evicts them, the metrics, the SLO controller's budgets and the
-        router's batch-limit overrides drop them too."""
-        from repro.serving.slo import SloController
-
+        evicts them, the metrics and ``/stats`` drop them too."""
         max_sessions = 4
         service = InferenceService(registry, graph=graph,
                                    max_sessions=max_sessions)
-        controller = SloController(service.batcher, target_p99=0.05)
-        service.attach_slo(controller)
         for seed in range(3 * max_sessions):
             service.predict_scores("demo", [0, 1], mode="private")
             service.predict_scores("demo", [0, 1], mode="public")
-            controller.tick()
             service.apply_graph_update(sample_insert=1, seed=seed)
-        controller.tick()
         labels = service.metrics.labels()
         assert len(labels) <= max_sessions
-        assert len(controller.state()["models"]) <= max_sessions
-        assert len(service.batcher._overrides) <= max_sessions
-        assert set(controller.state()["models"]) <= set(labels)
         assert set(service.stats()["models"]) <= set(labels)
         # The live sessions' labels are still there.
         assert any(label.endswith(f":g{3 * max_sessions - 1}:public")
@@ -321,6 +313,52 @@ class TestParsePayload:
     def test_malformed_payloads_raise(self, payload):
         with pytest.raises(ConfigurationError):
             parse_graph_update_payload(payload)
+
+
+# Any JSON value a client could send, kept small.
+_JSON = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.text(max_size=4)
+    | st.floats(allow_nan=False, allow_infinity=False),
+    lambda children: st.lists(children, max_size=3)
+    | st.dictionaries(st.text(max_size=3), children, max_size=2),
+    max_leaves=6)
+# Edge lists that often name real node pairs of the 179-node test graph.
+_EDGES = st.lists(st.lists(st.integers(-2, 181) | _JSON, max_size=3),
+                  max_size=3)
+_COUNT = st.integers(-1, 3) | st.integers(0, 2) | st.floats(-1.0, 3.0)
+
+
+class TestAnyPayloadAppliesOrIsRefused:
+    """Any JSON either applies (epoch + 1) or is refused with a
+    ``ConfigurationError``/``GraphDataError`` — the HTTP layer's 400 —
+    leaving the epoch and digest as they were.  Nothing else escapes."""
+
+    @pytest.fixture(scope="class")
+    def empty_registry(self, tmp_path_factory):
+        return ModelRegistry(tmp_path_factory.mktemp("reg"))
+
+    @settings(max_examples=200, deadline=None)
+    @example(payload={"sample_insert": 1, "seed": -1})
+    @example(payload={"sample_delete": 2, "seed": -(2 ** 70)})
+    @example(payload={"sample_insert": 1, "seed": 2 ** 200})
+    @given(payload=st.fixed_dictionaries({}, optional={
+        "insert": _EDGES | _JSON, "delete": _EDGES | _JSON,
+        "sample_insert": _COUNT, "sample_delete": _COUNT,
+        "seed": st.integers(-3, 3) | st.integers() | _JSON,
+        "graph": st.sampled_from([None, "default", ""]) | st.just("nope")
+        | _JSON}))
+    def test_payload_applies_or_is_refused(self, empty_registry, graph,
+                                           payload):
+        service = InferenceService(empty_registry, graph=graph)
+        before = service.graph_status()["graphs"]["default"]
+        try:
+            service.apply_graph_update(**parse_graph_update_payload(payload))
+        except (ConfigurationError, GraphDataError):
+            after = service.graph_status()["graphs"]["default"]
+            assert (after["epoch"], after["digest"]) \
+                == (before["epoch"], before["digest"])
+        else:
+            assert service.graph_epochs() == {"default": before["epoch"] + 1}
 
 
 class TestHttpSurface:
@@ -360,11 +398,24 @@ class TestHttpSurface:
         ({"insert": [[4, 4]]}, "self-loop"),
         ({"insert": [[0, 1000000]]}, "outside"),
         ({"insert": [[0, 2 ** 70]]}, "outside"),
+        ([{"sample_insert": 1}], "must be a JSON object"),
+        ({"sample_insert": 1.5}, "non-negative integer"),
+        ({"sample_insert": 1, "seed": 1.5}, "'seed' must be"),
+        ({"sample_insert": 1, "seed": True}, "'seed' must be"),
+        ({"sample_insert": 1, "graph": 7}, "string store key"),
     ])
     def test_bad_updates_are_400(self, server, payload, fragment):
         status, body = _http(server, "/v1/graph/update", payload)
         assert status == 400
         assert fragment in body["error"]
+
+    def test_negative_seed_is_400_and_the_epoch_stays(self, server,
+                                                      service):
+        status, body = _http(server, "/v1/graph/update",
+                             {"sample_insert": 1, "seed": -1})
+        assert status == 400
+        assert "'seed' must be a non-negative integer" in body["error"]
+        assert service.graph_epochs() == {"default": 0}
 
     def test_oversized_sampling_is_400_and_the_next_update_applies(
             self, server, service, sampled):

@@ -4,12 +4,15 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.serving.metrics import (
     LATENCY_BUCKETS,
     SIZE_BUCKETS,
     Histogram,
     ServingMetrics,
+    bucket_quantile,
 )
 
 
@@ -87,7 +90,6 @@ class TestHistogram:
         assert hist.count == 2
 
     def test_bucket_quantile_edges(self):
-        from repro.serving.metrics import bucket_quantile
         bounds = (1.0, 2.0, 4.0)
         assert bucket_quantile(bounds, [0, 0, 0, 0], 0.5) == 0.0
         assert bucket_quantile(bounds, [0, 3, 0, 0], 0.0) == 1.0
@@ -104,6 +106,71 @@ class TestHistogram:
         assert out["count"] == 1
         assert {"p50", "p95", "p99"} <= set(out)
         assert out["max"] == pytest.approx(10.0)  # milliseconds
+
+
+def _loop_quantile(hist: Histogram, q: float) -> float:
+    """The interpolation loop ``Histogram.quantile`` ran before it called
+    :func:`bucket_quantile`, kept verbatim as the oracle."""
+    if not 0.0 <= q <= 1.0:
+        raise ValueError(f"quantile must be in [0, 1], got {q}")
+    if hist.count == 0:
+        return 0.0
+    if q == 0.0:
+        return hist.min
+    if q == 1.0:
+        return hist.max
+    rank = q * hist.count
+    seen = 0
+    for index, bucket_count in enumerate(hist.counts):
+        if bucket_count == 0:
+            continue
+        if seen + bucket_count < rank:
+            seen += bucket_count
+            continue
+        if index >= len(hist.bounds):  # overflow: no edge to lerp toward
+            return hist.max
+        lower = hist.bounds[index - 1] if index > 0 else 0.0
+        upper = hist.bounds[index]
+        fraction = (rank - seen) / bucket_count
+        estimate = lower + (upper - lower) * fraction
+        # Never report outside what was actually observed.
+        return min(max(estimate, hist.min), hist.max)
+    return hist.max
+
+
+class TestQuantileMatchesTheOldLoop:
+    """``Histogram.quantile`` delegates to :func:`bucket_quantile`; every
+    p50/p95/p99 that ``/stats`` and ``--stats-interval`` report is the one
+    the old inline loop gave, bit for bit."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(values=st.lists(st.floats(min_value=-1.0, max_value=500.0,
+                                     allow_nan=False), max_size=60),
+           q=st.one_of(st.sampled_from([0.0, 0.5, 0.95, 0.99, 1.0]),
+                       st.floats(min_value=0.0, max_value=1.0)),
+           sizes=st.booleans())
+    def test_equals_the_old_loop(self, values, q, sizes):
+        hist = Histogram(SIZE_BUCKETS if sizes else LATENCY_BUCKETS)
+        for value in values:
+            hist.observe(value)
+        assert hist.quantile(q) == _loop_quantile(hist, q)
+
+
+class TestBucketQuantile:
+    def test_empty_counts_is_zero(self):
+        assert bucket_quantile((1.0, 2.0), [0, 0, 0], 0.99) == 0.0
+
+    def test_overflow_bucket_uses_the_observed_max(self):
+        bounds = (1.0, 2.0)
+        counts = [0, 0, 5]      # all samples past the last bound
+        assert bucket_quantile(bounds, counts, 0.99,
+                               overflow_value=7.5) == 7.5
+
+    def test_interpolates_within_a_bucket(self):
+        bounds = (1.0, 2.0, 4.0)
+        counts = [0, 100, 0, 0]  # uniform inside (1, 2]
+        p50 = bucket_quantile(bounds, counts, 0.50)
+        assert 1.0 < p50 <= 2.0
 
 
 class TestServingMetrics:

@@ -190,6 +190,36 @@ class TestLoadVerify:
             registry.resolve("demo@" + "f" * 8)
 
 
+class TestMmapBundles:
+    @pytest.fixture()
+    def registry(self, tmp_path, model):
+        registry = ModelRegistry(tmp_path / "reg")
+        registry.publish(model, "demo", inference_mode="private",
+                         training={"dataset": "cora_ml"})
+        return registry
+
+    def test_mapped_load_is_bitwise_equal_to_eager(self, registry, graph):
+        eager, _ = registry.load("demo", mmap=False)
+        mapped, _ = registry.load("demo", mmap=True)
+        assert isinstance(mapped.theta_, np.memmap)
+        assert not isinstance(eager.theta_, np.memmap)
+        assert np.array_equal(np.asarray(mapped.theta_), eager.theta_)
+        for mode in ("private", "public"):
+            assert np.array_equal(mapped.decision_scores(graph, mode=mode),
+                                  eager.decision_scores(graph, mode=mode))
+
+    def test_mapped_service_serves_bitwise_offline_scores(self, registry,
+                                                          graph, model):
+        offline = model.decision_scores(graph, mode="private")
+        nodes = [0, 5, 9, 3]
+        mapped = InferenceService(registry, graph=graph, mmap_bundles=True)
+        eager = InferenceService(registry, graph=graph, mmap_bundles=False)
+        assert np.array_equal(mapped.predict_scores("demo", nodes),
+                              offline[nodes])
+        assert np.array_equal(eager.predict_scores("demo", nodes),
+                              offline[nodes])
+
+
 class TestListing:
     def test_names_and_list_cover_all_committed_versions(self, tmp_path, model,
                                                          other_model):

@@ -88,21 +88,6 @@ class TestRouting:
         # compute (generous bound for scheduler noise on a loaded 1-core CI).
         assert fast_elapsed < 0.2, f"fast model waited {fast_elapsed:.3f}s"
 
-    def test_per_model_configuration_overrides(self):
-        router = ModelRouter(CountingScorer(), max_batch_size=64,
-                             max_latency=0.005)
-        router.configure_model("a", max_batch_size=2, max_latency=0.0)
-        assert router.queue_for("a").max_batch_size == 2
-        assert router.queue_for("a").max_latency == 0.0
-        assert router.queue_for("b").max_batch_size == 64
-        # Reconfiguring an existing queue applies too.
-        router.configure_model("b", max_latency=0.125)
-        assert router.queue_for("b").max_latency == 0.125
-        with pytest.raises(ValueError):
-            router.configure_model("c", max_batch_size=0)
-        with pytest.raises(ValueError):
-            router.configure_model("c", max_latency=-1.0)
-
     def test_aggregate_stats_merge_across_queues(self):
         scorer = CountingScorer()
         router = ModelRouter(scorer)
@@ -182,6 +167,31 @@ class TestRouting:
             ModelRouter(CountingScorer(), max_batch_size=0)
         with pytest.raises(ValueError):
             ModelRouter(CountingScorer(), max_latency=-0.1)
+
+    @pytest.mark.parametrize("latency", [float("nan"), float("inf")])
+    def test_non_finite_latency_rejected_at_construction(self, latency):
+        """Refused when the router is built, not when the first request
+        lazily creates a queue."""
+        with pytest.raises(ValueError, match="finite"):
+            ModelRouter(CountingScorer(), max_latency=latency)
+
+    def test_every_queue_runs_the_router_limits(self):
+        """The limits are fixed when the router is built: a queue created
+        before ``start``, one created after it, and a retired model's new
+        queue all run the same row budget and deadline."""
+        router = ModelRouter(CountingScorer(), max_batch_size=3,
+                             max_latency=0.02)
+        try:
+            early = router.queue_for("early")
+            router.start()
+            late = router.queue_for("late")
+            router.retire("early")
+            again = router.queue_for("early")
+            assert again is not early
+            for queue in (early, late, again):
+                assert (queue.max_batch_size, queue.max_latency) == (3, 0.02)
+        finally:
+            router.close()
 
 
 class TestBatcherSatelliteFixes:

@@ -14,6 +14,8 @@ import urllib.request
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.cli.main import main
 from repro.core.config import GCONConfig
@@ -21,7 +23,15 @@ from repro.core.model import GCON
 from repro.core.propagation import graph_fingerprint
 from repro.exceptions import ConfigurationError
 from repro.graphs.datasets import load_dataset
-from repro.serving import InferenceService, ModelRegistry, serve_http
+from repro.serving import (
+    InferenceService,
+    ModelRegistry,
+    OverloadedError,
+    format_prediction,
+    format_prediction_body,
+    serve_http,
+)
+from repro.serving.service import PredictRequest, estimate_drain_seconds
 
 
 @pytest.fixture(scope="module")
@@ -409,3 +419,145 @@ class TestMultiModelRouting:
         assert ticket.done()
         offline = model.decision_scores(graph, mode="private")
         assert np.array_equal(ticket.result(0.1), offline[[0, 4]])
+
+
+class TestAdmissionPrimitives:
+    def test_retry_after_header_is_ceiled_whole_seconds(self):
+        def shed(retry_after):
+            return OverloadedError("full", retry_after=retry_after,
+                                   label="m", depth=9, max_queue_depth=8)
+        assert shed(0.06).retry_after_header == 1
+        assert shed(3.2).retry_after_header == 4
+        assert shed(2.0).retry_after_header == 2
+
+    def test_estimate_drain_seconds(self):
+        # 100 deep / 10 per flush = 10 flushes; 10ms floor per flush.
+        assert estimate_drain_seconds(100, 10, 0.005) == pytest.approx(0.100)
+        assert estimate_drain_seconds(100, 10, 0.020) == pytest.approx(0.200)
+        # Empty/degenerate queues still produce a positive hint.
+        assert estimate_drain_seconds(0, 10, 0.0) > 0
+        assert estimate_drain_seconds(5, 0, 0.0) > 0
+
+    @settings(max_examples=200, deadline=None)
+    @given(depth=st.integers(0, 100_000), size=st.integers(1, 4096),
+           latency=st.floats(0.0, 1.0))
+    def test_drain_hint_is_monotone_and_the_header_never_undercuts_it(
+            self, depth, size, latency):
+        """A deeper queue never gets a shorter hint, a larger row budget
+        never a longer one, and the whole-second ``Retry-After`` never
+        promises a drain sooner than the estimate."""
+        hint = estimate_drain_seconds(depth, size, latency)
+        assert hint >= 0.010
+        assert estimate_drain_seconds(depth + 1, size, latency) >= hint
+        assert estimate_drain_seconds(depth, size + 1, latency) <= hint
+        header = OverloadedError("full", retry_after=hint, label="m",
+                                 depth=depth, max_queue_depth=depth
+                                 ).retry_after_header
+        assert isinstance(header, int) and header >= max(1.0, hint)
+
+
+class TestAdmissionControl:
+    def test_shed_happens_before_the_queue(self, registry, graph):
+        """A shed request costs a counter bump, never a batcher ticket."""
+        service = InferenceService(registry, graph=graph,
+                                   max_queue_depth=0)
+        with pytest.raises(OverloadedError) as excinfo:
+            service.predict_batch("demo", [0, 1])
+        error = excinfo.value
+        assert error.retry_after > 0
+        assert error.max_queue_depth == 0
+        assert service.batcher.stats.requests == 0   # nothing was enqueued
+        admission = service.stats()["admission"]
+        assert admission["max_queue_depth"] == 0
+        assert admission["shed_total"] == 1
+        assert admission["shed_per_model"] == {"demo@latest": 1} or \
+            sum(admission["shed_per_model"].values()) == 1
+
+    def test_retry_hint_drains_under_the_fixed_limits(self, registry, graph):
+        service = InferenceService(registry, graph=graph, max_batch_size=4,
+                                   max_latency=0.05, max_queue_depth=0)
+        with pytest.raises(OverloadedError) as excinfo:
+            service.predict_batch("demo", [0])
+        assert excinfo.value.retry_after == estimate_drain_seconds(0, 4, 0.05)
+
+    def test_no_cap_means_no_shedding(self, registry, graph, model):
+        service = InferenceService(registry, graph=graph,
+                                   max_queue_depth=None)
+        offline = model.decision_scores(graph, mode="private")
+        served = service.predict_scores("demo", [0, 1, 2])
+        assert np.array_equal(served, offline[[0, 1, 2]])
+        assert service.stats()["admission"]["shed_total"] == 0
+
+    def test_http_429_with_retry_after(self, registry, graph):
+        """Overload is answered with 429 + Retry-After on the wire."""
+        service = InferenceService(registry, graph=graph, max_queue_depth=0)
+        server = serve_http(service, port=0)
+        thread = threading.Thread(target=server.serve_forever, daemon=True)
+        thread.start()
+        try:
+            port = server.server_address[1]
+            request = urllib.request.Request(
+                f"http://127.0.0.1:{port}/v1/predict",
+                data=json.dumps({"model": "demo", "nodes": [0]}).encode(),
+                headers={"Content-Type": "application/json"})
+            with pytest.raises(urllib.error.HTTPError) as excinfo:
+                urllib.request.urlopen(request, timeout=10.0)
+            response = excinfo.value
+            assert response.code == 429
+            assert int(response.headers["Retry-After"]) >= 1
+            body = json.loads(response.read())
+            assert body["retry_after_seconds"] > 0
+            assert "error" in body
+            # The shed shows up in /stats over the same wire.
+            with urllib.request.urlopen(
+                    f"http://127.0.0.1:{port}/stats", timeout=10.0) as reply:
+                stats = json.loads(reply.read())
+            assert stats["admission"]["shed_total"] >= 1
+            assert "slo" not in stats
+        finally:
+            server.shutdown()
+            server.server_close()
+            service.close()
+
+
+class TestFixedBatchLimits:
+    def test_stats_report_the_limits_every_queue_runs(self, registry, graph):
+        service = InferenceService(registry, graph=graph, max_batch_size=16,
+                                   max_latency=0.003)
+        service.predict_scores("demo", [0, 1])
+        stats = service.stats()
+        assert (stats["max_batch_size"], stats["max_latency_seconds"]) \
+            == (16, 0.003)
+        (entry,) = stats["models"].values()
+        assert (entry["max_batch_size"], entry["max_latency_seconds"]) \
+            == (16, 0.003)
+        assert "slo" not in stats
+
+
+class TestFusedResponseRenderer:
+    """The zero-copy body renderer must be byte-identical to the canonical
+    ``json.dumps(format_prediction(...), sort_keys=True)`` encoding."""
+
+    @pytest.mark.parametrize("proba", [False, True])
+    @pytest.mark.parametrize("top_k", [None, 2])
+    def test_bytes_match_canonical_json(self, registry, graph, proba, top_k):
+        service = InferenceService(registry, graph=graph)
+        scores, record, mode = service.predict_batch("demo", [0, 1, 7])
+        request = PredictRequest(ref="demo", nodes=[0, 1, 7], mode=None,
+                                 top_k=top_k, proba=proba)
+        canonical = (json.dumps(
+            format_prediction(request, scores, record, mode),
+            sort_keys=True) + "\n").encode("utf-8")
+        fused = format_prediction_body(request, scores, record, mode)
+        assert fused == canonical
+
+    def test_awkward_floats_roundtrip(self, registry, graph):
+        service = InferenceService(registry, graph=graph)
+        _, record, mode = service.predict_batch("demo", [0])
+        scores = np.array([[1e-17, -0.0], [1234567890.123456, 3.14]])
+        request = PredictRequest(ref="demo", nodes=[4, 5], mode=None,
+                                 top_k=None, proba=False)
+        canonical = (json.dumps(
+            format_prediction(request, scores, record, mode),
+            sort_keys=True) + "\n").encode("utf-8")
+        assert format_prediction_body(request, scores, record, mode) == canonical
